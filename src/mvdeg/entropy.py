@@ -222,14 +222,14 @@ def mvdeg_single_scale(
         raise DimensionError(
             f"signal has {signal.p} channels but graph has {graph.n} vertices"
         )
-    z = MultivariateSignal(_standardize(signal.values), labels=signal.labels)
-    basis = build_hop_basis(z, graph, m)
-    rows = basis.row_mask()
-    if not rows.any():
+    rows = (signal.n_samples - m + 1) * signal.p
+    if rows <= 0:
         raise EmptyPatternError(
             f"no embedding rows survive masking (N={signal.n_samples}, m={m})"
         )
-    classes = _classes_from_z(basis.values[rows], c)
+    z = MultivariateSignal(_standardize(signal.values), labels=signal.labels)
+    basis = build_hop_basis(z, graph, m)
+    classes = _classes_from_z(basis.values[:rows], c)
     histogram = DispersionHistogram.from_class_rows(classes, m=m, c=c)
     return normalized_entropy(histogram), histogram
 

@@ -74,6 +74,10 @@ class SizeCapError(MvdegError):
         self.cap = cap
 
 
+class FloatRangeError(MvdegError):
+    """A value overflowed float64 or left the range where it stays exact."""
+
+
 class FactorizationError(MvdegError):
     """A correlation matrix is not positive semidefinite."""
 

@@ -5,14 +5,13 @@ The joint adjacency over (time, channel) vertices is
     A = shift (x) Id_p + Id_N (x) W
 
 where (x) is the Kronecker product, shift is the one-step successor matrix of
-the directed path on N time vertices, and W is the channel graph. The two
-summands commute, so
-
-    A^k = sum_j C(k, j) * shift^j (x) W^(k-j)
-
-and shift^j is itself a j-step shift. Applying A^k to a stacked signal
-therefore needs only k+1 shifted copies and channel-side matmuls: O(k N p^2)
-time and O(N p + k p^2) memory, never an (N p)^2 matrix.
+the directed path on N time vertices, and W is the channel graph. Hop column k
+of the embedding is A^k x / A^k 1, built from column k-1 by A^k = A A^(k-1):
+one time shift and one (N, p) x (p, p) product, so O(N p^2) per column and
+O(m N p^2) per m-column basis, never an (N p)^2 matrix. The summands commute,
+so A^k = sum_j C(k, j) * shift^j (x) W^(k-j) too; that binomial expansion
+survives only in the dense oracles (product_power_terms, product_adjacency,
+naive_power) that the fast path is checked against.
 
 Stacked layout: entry (t * p) + ch of a vector is channel ch at time t, so a
 Kronecker factor acting on the left index is the time axis and the right index
@@ -22,11 +21,11 @@ is the channel axis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, frexp, ldexp
 
 import numpy as np
 
-from .errors import DimensionError, SizeCapError
+from .errors import DimensionError, FloatRangeError, SizeCapError
 from .graphs import WeightedGraph
 from .signal import MultivariateSignal
 
@@ -55,17 +54,6 @@ class PathShift:
             idx = np.arange(self.n - self.k)
             out[idx, idx + self.k] = 1.0
         return out
-
-    def apply(self, rows: np.ndarray) -> np.ndarray:
-        """Shift time-major rows up by k steps, zero-filling the tail."""
-        out = np.zeros_like(rows)
-        if self.k < self.n:
-            out[: self.n - self.k] = rows[self.k:]
-        return out
-
-    def row_support(self) -> np.ndarray:
-        """Boolean vector: rows that still land inside the path."""
-        return np.arange(self.n) <= self.n - 1 - self.k
 
 
 def path_power(n: int, k: int) -> PathShift:
@@ -145,35 +133,47 @@ def naive_power(matrix: np.ndarray, k: int, dense_cap: int = DENSE_CAP) -> np.nd
     return out
 
 
-def _hop_from_powers(
-    time_major: np.ndarray, powers: list[np.ndarray], k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized k-hop aggregate of time-major (N, p) samples.
+# Smallest rescaled row sum accepted. Above it every hop value at least 2^-64
+# times its row sum is a normal float, so u / r is exact; smaller ratios map
+# where float64 rounds the normal CDF to exactly 0.5.
+_ROW_SUM_FLOOR = 2.0 ** -958
 
-    Returns (values, valid), both (N, p). Entry (t, ch) is the row-sum
-    normalized value of A^k applied to the stacked signal. Entries whose k-step
-    horizon leaves the time axis (t + k > N - 1) are invalid and zeroed; on the
-    remaining entries the row sum is >= 1 (the j = k expansion term alone
-    contributes 1), so the division is always defined.
+
+def _hop_columns(time_major: np.ndarray, weights: np.ndarray, m: int) -> np.ndarray:
+    """(N, p, m) hop columns A^k x / A^k 1 of time-major (N, p) samples.
+
+    Entries past the horizon, t + k > N - 1, are 0. Inside it, with u_0 = x
+    and r_0 = 1, each column takes one step
+
+        u_k[t] = u_(k-1)[t + 1] + W u_(k-1)[t],    r_k = (I + W) r_(k-1)
+
+    where r_k is the per-channel row sum of A^k. Both are divided by the same
+    power of two each step, which keeps r below 1 and u / r unchanged.
+    Raises FloatRangeError on overflow or a row sum below _ROW_SUM_FLOOR.
     """
     n, p = time_major.shape
-    acc = np.zeros((n, p))
-    row_sums = np.zeros((n, p))
-    for j in range(k + 1):
-        coef = float(comb(k, j))
-        shift = PathShift(n, j)
-        shifted = shift.apply(time_major)
-        channel_power = powers[k - j]
-        acc += coef * (shifted @ channel_power.T)
-        row_sums += coef * np.outer(
-            shift.row_support().astype(float), channel_power.sum(axis=1)
-        )
-    valid = np.zeros((n, p), dtype=bool)
-    if k < n:
-        valid[: n - k, :] = True
-    values = np.zeros((n, p))
-    np.divide(acc, row_sums, out=values, where=valid)
-    return values, valid
+    out = np.zeros((n, p, m))
+    u = np.ascontiguousarray(time_major)
+    out[:, :, 0] = u
+    grow = np.eye(p) + weights
+    r = np.ones(p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, min(m, n)):
+            r = grow @ r
+            if not np.isfinite(r).all():
+                raise FloatRangeError(f"row sums of hop column {k} overflow float64")
+            scale = ldexp(1.0, -frexp(float(r.max()))[1])
+            r *= scale
+            if r.min() < _ROW_SUM_FLOOR:
+                raise FloatRangeError(f"row sums of hop column {k} too far apart to normalize")
+            step = u[: n - k] @ weights.T
+            step += u[1 : n - k + 1]
+            step *= scale
+            if not np.isfinite(step).all():
+                raise FloatRangeError(f"hop column {k} overflows float64")
+            u = step
+            np.divide(u, r, out=out[: n - k, :, k])
+    return out
 
 
 def apply_hop(
@@ -181,32 +181,25 @@ def apply_hop(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row-sum normalized k-hop aggregate in stacked layout.
 
-    Returns (values, valid), both of length N * p, where values equals
-    diag(1 / rowsum(A^k)) A^k applied to the stacked signal on valid entries
-    and 0 elsewhere.
+    Returns (values, valid), column k of build_hop_basis(signal, graph, k + 1)
+    and its horizon mask, both of length N * p.
     """
-    if signal.p != graph.n:
-        raise DimensionError(
-            f"signal has {signal.p} channels but graph has {graph.n} vertices"
-        )
     if k < 0:
         raise DimensionError(f"hop order must be >= 0, got {k}")
-    powers = _channel_powers(graph, k)
-    values, valid = _hop_from_powers(signal.values.T, powers, k)
-    return values.reshape(-1), valid.reshape(-1)
+    basis = build_hop_basis(signal, graph, k + 1)
+    return basis.values[:, k].copy(), basis.valid[:, k]
 
 
 @dataclass(frozen=True)
 class HopBasis:
     """Embedding columns y_0 .. y_(m-1) for one signal and channel graph.
 
-    values[:, k] is the k-hop aggregate in stacked layout; valid[:, k] flags
-    entries whose k-step horizon stays on the time axis. Column 0 is the
-    stacked signal itself and is valid everywhere.
+    values[:, k] is the k-hop aggregate in stacked layout. Entry (t p + ch, k)
+    is valid when t + k <= N - 1, so the mask follows from (n_time, graph.n, m)
+    and is not stored. Column 0 is the stacked signal, valid everywhere.
     """
 
     values: np.ndarray
-    valid: np.ndarray
     n_time: int
     graph: WeightedGraph
 
@@ -214,30 +207,24 @@ class HopBasis:
     def m(self) -> int:
         return self.values.shape[1]
 
+    @property
+    def valid(self) -> np.ndarray:
+        """(N p, m) flags of the entries inside their hop horizon."""
+        time = np.repeat(np.arange(self.n_time), self.graph.n)
+        return time[:, None] + np.arange(self.m) < self.n_time
+
     def row_mask(self) -> np.ndarray:
-        """Rows valid in every column; these survive into the pattern set."""
-        return self.valid.all(axis=1)
+        """Rows valid in every column, the first (N - m + 1) p; these survive into the pattern set."""
+        return self.valid[:, -1]
 
 
 def build_hop_basis(signal: MultivariateSignal, graph: WeightedGraph, m: int) -> HopBasis:
-    """Stack hop aggregates for k = 0 .. m-1 into an (N p, m) matrix."""
+    """Stack hop aggregates for k = 0 .. m-1 into an (N p, m) matrix in one pass."""
     if m < 1:
         raise DimensionError(f"embedding needs m >= 1 columns, got {m}")
     if signal.p != graph.n:
         raise DimensionError(
             f"signal has {signal.p} channels but graph has {graph.n} vertices"
         )
-    powers = _channel_powers(graph, m - 1)
-    time_major = signal.values.T
-    cols = []
-    masks = []
-    for k in range(m):
-        values, valid = _hop_from_powers(time_major, powers[: k + 1], k)
-        cols.append(values.reshape(-1))
-        masks.append(valid.reshape(-1))
-    return HopBasis(
-        values=np.stack(cols, axis=1),
-        valid=np.stack(masks, axis=1),
-        n_time=signal.n_samples,
-        graph=graph,
-    )
+    values = _hop_columns(signal.values.T, graph.weights, m)
+    return HopBasis(values=values.reshape(-1, m), n_time=signal.n_samples, graph=graph)
