@@ -30,18 +30,7 @@ from .entropy import (
     mvdeg_curve,
     univariate_mde,
 )
-from .errors import (
-    BaselineError,
-    CapacityError,
-    DegenerateChannelError,
-    DimensionError,
-    EmptyPatternError,
-    FactorizationError,
-    MvdegError,
-    ParseError,
-    ScaleUndefinedError,
-    SizeCapError,
-)
+from .errors import DimensionError, MvdegError, ParseError, ScaleUndefinedError
 from .generators import GENERATOR_KINDS, GeneratorSpec, generate
 from .graphs import (
     build_complete_graph,
@@ -407,16 +396,6 @@ def main(argv: list[str] | None = None) -> int:
     except (DimensionError, ScaleUndefinedError) as err:
         print(f"mvdeg: dimension error: {err}", file=sys.stderr)
         return 3
-    except (
-        DegenerateChannelError,
-        FactorizationError,
-        CapacityError,
-        EmptyPatternError,
-        BaselineError,
-        SizeCapError,
-    ) as err:
-        print(f"mvdeg: {err}", file=sys.stderr)
-        return 4
     except MvdegError as err:
         print(f"mvdeg: {err}", file=sys.stderr)
         return 4

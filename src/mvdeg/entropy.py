@@ -15,8 +15,9 @@ only in how patterns are extracted:
 from __future__ import annotations
 
 import math
+from collections.abc import ItemsView, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -52,51 +53,117 @@ class EmbeddingConfig:
             raise DimensionError(f"class count must be >= 2, got {self.c}")
         if self.max_scale < 1:
             raise DimensionError(f"max scale must be >= 1, got {self.max_scale}")
-        if self.c ** self.m >= 2 ** 62:
-            raise DimensionError(
-                f"c^m = {self.c}^{self.m} exceeds the pattern-encoding range"
-            )
+        _check_code_range(self.m, self.c)
 
 
-@dataclass(frozen=True)
 class DispersionHistogram:
     """Multiset of observed m-length class patterns.
 
-    counts maps each pattern (tuple of ints in 1..c) to its positive count.
+    Held as two int64 arrays: ``codes``, the distinct base-c pattern codes in
+    ascending order, and ``code_counts``, their positive counts. ``counts`` is
+    a read-only view mapping each pattern (tuple of ints in 1..c) to its count.
     """
 
-    counts: dict[tuple[int, ...], int]
-    m: int
-    c: int
+    __slots__ = ("codes", "code_counts", "m", "c")
 
-    def __post_init__(self):
-        for pattern, count in self.counts.items():
-            if len(pattern) != self.m:
-                raise DimensionError(f"pattern {pattern} is not length {self.m}")
-            if not all(1 <= v <= self.c for v in pattern):
-                raise DimensionError(f"pattern {pattern} leaves class range 1..{self.c}")
+    def __init__(self, counts: Mapping[tuple[int, ...], int], m: int, c: int):
+        _check_code_range(m, c)
+        for pattern, count in counts.items():
+            if len(pattern) != m:
+                raise DimensionError(f"pattern {pattern} is not length {m}")
+            if not all(1 <= v <= c for v in pattern):
+                raise DimensionError(f"pattern {pattern} leaves class range 1..{c}")
             if count < 1:
                 raise DimensionError(f"pattern {pattern} has nonpositive count {count}")
+        codes = _encode_patterns(np.array(list(counts), dtype=np.int64).reshape(-1, m), c)
+        order = np.argsort(codes)
+        self.codes = codes[order]
+        self.code_counts = np.array(list(counts.values()), dtype=np.int64)[order]
+        self.m, self.c = m, c
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DispersionHistogram) or (self.m, self.c) != (other.m, other.c):
+            return False
+        return np.array_equal(self.codes, other.codes) and np.array_equal(
+            self.code_counts, other.code_counts
+        )
+
+    @property
+    def counts(self) -> Mapping[tuple[int, ...], int]:
+        return _PatternCounts(self)
 
     @property
     def total(self) -> int:
-        return sum(self.counts.values())
+        return int(self.code_counts.sum())
 
     @classmethod
     def from_class_rows(cls, rows: np.ndarray, m: int, c: int) -> "DispersionHistogram":
-        """Count identical rows of an (R, m) integer class matrix."""
+        """Count identical rows of an (R, m) integer class matrix over 1..c."""
         if rows.ndim != 2 or rows.shape[1] != m:
             raise DimensionError(f"class rows must have shape (R, {m}), got {rows.shape}")
-        codes = _encode_patterns(rows, c)
-        uniq, counts = np.unique(codes, return_counts=True)
-        return cls(
-            counts={
-                _decode_pattern(int(code), m, c): int(n)
-                for code, n in zip(uniq, counts)
-            },
-            m=m,
-            c=c,
-        )
+        _check_code_range(m, c)
+        if rows.size and (rows.min() < 1 or rows.max() > c):
+            raise DimensionError(f"class rows leave class range 1..{c}")
+        return cls._from_codes([_encode_patterns(rows, c)], m, c)
+
+    @classmethod
+    def _from_codes(cls, chunks: Iterable[np.ndarray], m: int, c: int) -> "DispersionHistogram":
+        """Count base-c codes over equal-length chunks: bincount when c^m <= 2^24 and at most
+        twice the chunk length, else merged per-chunk np.unique (cheaper for sparse codes)."""
+        chunks = iter(chunks)
+        first, space = next(chunks), c ** m
+        if space <= min(2 ** 24, 2 * len(first)):
+            tally = np.bincount(first, minlength=space)
+            for codes in chunks:
+                tally += np.bincount(codes, minlength=space)
+            codes = np.flatnonzero(tally)
+            tally = tally[codes]
+        else:
+            parts = [np.unique(codes, return_counts=True) for codes in chain([first], chunks)]
+            codes, where = np.unique(np.concatenate([u for u, _ in parts]), return_inverse=True)
+            tally = np.zeros(len(codes), dtype=np.int64)
+            np.add.at(tally, where, np.concatenate([n for _, n in parts]))
+        hist = cls.__new__(cls)
+        hist.codes, hist.code_counts, hist.m, hist.c = codes, tally, m, c
+        return hist
+
+
+class _PatternCounts(Mapping):
+    """{pattern: count} view of a histogram, decoded on demand in ascending code order."""
+
+    __slots__ = ("_hist",)
+
+    def __init__(self, hist: DispersionHistogram):
+        self._hist = hist
+
+    def __len__(self) -> int:
+        return len(self._hist.codes)
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        m, c = self._hist.m, self._hist.c
+        return (_decode_pattern(code, m, c) for code in self._hist.codes.tolist())
+
+    def __getitem__(self, pattern: tuple[int, ...]) -> int:
+        hist = self._hist
+        if isinstance(pattern, tuple) and len(pattern) == hist.m and all(
+            isinstance(v, (int, np.integer)) and 1 <= v <= hist.c for v in pattern
+        ):
+            code = _encode_patterns(np.array([pattern]), hist.c)[0]
+            i = np.searchsorted(hist.codes, code)
+            if i < len(hist.codes) and hist.codes[i] == code:
+                return int(hist.code_counts[i])
+        raise KeyError(pattern)
+
+    def items(self) -> ItemsView:
+        return _PatternItems(self)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
+class _PatternItems(ItemsView):
+    def __iter__(self):
+        return zip(self._mapping, self._mapping._hist.code_counts.tolist())
 
 
 @dataclass(frozen=True)
@@ -150,7 +217,13 @@ def _encode_patterns(rows: np.ndarray, c: int) -> np.ndarray:
     """Base-c integer code per row; row order preserved."""
     m = rows.shape[1]
     weights = (c ** np.arange(m - 1, -1, -1)).astype(np.int64)
-    return (rows.astype(np.int64) - 1) @ weights
+    return (rows.astype(np.int64, copy=False) - 1) @ weights
+
+
+def _check_code_range(m: int, c: int) -> None:
+    """Refuse an (m, c) whose base-c pattern codes would not fit in int64."""
+    if int(c) ** min(int(m), 62) >= 2 ** 62:
+        raise DimensionError(f"c^m = {c}^{m} exceeds the pattern-encoding range")
 
 
 def _decode_pattern(code: int, m: int, c: int) -> tuple[int, ...]:
@@ -163,11 +236,9 @@ def _decode_pattern(code: int, m: int, c: int) -> tuple[int, ...]:
 
 def normalized_entropy(histogram: DispersionHistogram) -> float:
     """Shannon entropy of the pattern distribution over ln(c^m), clamped to [0, 1]."""
-    if not histogram.counts:
+    if not len(histogram.code_counts):
         raise EmptyPatternError("histogram holds no patterns")
-    counts = np.array(
-        [histogram.counts[k] for k in sorted(histogram.counts)], dtype=float
-    )
+    counts = histogram.code_counts.astype(float)
     probs = counts / counts.sum()
     h = float(-(probs * np.log(probs)).sum()) / (histogram.m * math.log(histogram.c))
     return min(max(h, 0.0), 1.0)
@@ -218,6 +289,7 @@ def mvdeg_single_scale(
         raise DimensionError(f"embedding dimension must be >= 2, got {m}")
     if c < 2:
         raise DimensionError(f"class count must be >= 2, got {c}")
+    _check_code_range(m, c)
     if signal.p != graph.n:
         raise DimensionError(
             f"signal has {signal.p} channels but graph has {graph.n} vertices"
@@ -303,6 +375,7 @@ def classical_mvde(
         raise DimensionError(f"embedding dimension must be >= 2, got {m}")
     if c < 2:
         raise DimensionError(f"class count must be >= 2, got {c}")
+    _check_code_range(m, c)
     coarse = coarse_grain(signal, tau)
     length = coarse.n_samples
     if length < m + 1:
@@ -317,33 +390,10 @@ def classical_mvde(
         sliding_window_view(classes, m, axis=1)
         .transpose(1, 0, 2)
         .reshape(length - m + 1, coarse.p * m)
-        .astype(np.int64)
     )
-    weights = (c ** np.arange(m - 1, -1, -1)).astype(np.int64)
-    space = c ** m
-    dense_counts = space <= 2 ** 24
-    if dense_counts:
-        acc = np.zeros(space, dtype=np.int64)
-    else:
-        sparse_acc: dict[int, int] = {}
-    for subset in combinations(range(coarse.p * m), m):
-        codes = (window_classes[:, subset] - 1) @ weights
-        if dense_counts:
-            acc += np.bincount(codes, minlength=space)
-        else:
-            uniq, cnt = np.unique(codes, return_counts=True)
-            for code, n in zip(uniq, cnt):
-                sparse_acc[int(code)] = sparse_acc.get(int(code), 0) + int(n)
-    if dense_counts:
-        nonzero = np.nonzero(acc)[0]
-        counts = {
-            _decode_pattern(int(code), m, c): int(acc[code]) for code in nonzero
-        }
-    else:
-        counts = {
-            _decode_pattern(code, m, c): n for code, n in sorted(sparse_acc.items())
-        }
-    histogram = DispersionHistogram(counts=counts, m=m, c=c)
+    subsets = combinations(range(coarse.p * m), m)
+    codes = (_encode_patterns(window_classes[:, subset], c) for subset in subsets)
+    histogram = DispersionHistogram._from_codes(codes, m, c)
     return normalized_entropy(histogram), histogram
 
 
@@ -356,6 +406,7 @@ def univariate_single_scale(
         raise DimensionError(f"expected a 1-D channel, got shape {x.shape}")
     if x.size < m + 1:
         raise DimensionError(f"need more than m={m} samples, got {x.size}")
+    _check_code_range(m, c)
     classes = ncdf_map(MultivariateSignal(x[None, :]), c)[0]
     windows = sliding_window_view(classes, m)
     histogram = DispersionHistogram.from_class_rows(np.ascontiguousarray(windows), m, c)

@@ -1,6 +1,9 @@
 """Property tests of the hop kernel and the graph-based pipeline over random inputs."""
 
+import math
 import warnings
+from collections import Counter
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -8,15 +11,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvdeg import (
+    DimensionError,
+    DispersionHistogram,
+    EmbeddingConfig,
     FloatRangeError,
     MultivariateSignal,
     WeightedGraph,
     build_complete_graph,
     build_hop_basis,
+    build_zero_graph,
+    classical_mvde,
     gen_wgn,
+    mvdeg_curve,
     mvdeg_single_scale,
     naive_power,
+    ncdf_map,
+    normalized_entropy,
     product_adjacency,
+    univariate_mde,
+    univariate_single_scale,
     write_graph_json,
     write_signal_csv,
 )
@@ -135,3 +148,179 @@ def test_cli_reports_float_range_error_as_numeric_refusal(tmp_path, capsys):
     ])
     assert code == 4
     assert "overflow" in capsys.readouterr().err
+
+
+# ── pattern-code histograms ─────────────────────────────────────────────────
+
+
+@st.composite
+def class_rows(draw):
+    """(R, m) class rows over 1..c, drawn to reach every counting branch:
+    c^m at most 2R (bincount), above 2R, and above 2^24 (np.unique)."""
+    m = draw(st.integers(2, 5))
+    branch = draw(st.sampled_from(["bincount", "unique", "above 2^24"]))
+    smallest_sparse = math.floor(2 ** (24 / m)) + 1  # least c with c^m > 2^24
+    largest = math.floor(2 ** (62 / m))  # codes must stay below 2^62
+    while largest ** m >= 2 ** 62:
+        largest -= 1
+    min_rows = 1
+    if branch == "bincount":
+        c = draw(st.integers(2, math.floor(200 ** (1 / m))))
+        min_rows = -(-(c ** m) // 2)
+    elif branch == "unique":
+        c = draw(st.integers(2, smallest_sparse - 1))
+    else:
+        c = draw(st.integers(smallest_sparse, largest))
+    rows = draw(st.lists(
+        st.lists(st.integers(1, c), min_size=m, max_size=m), min_size=min_rows, max_size=100
+    ))
+    return np.array(rows, dtype=np.int64), m, c
+
+
+def dict_sorted_entropy(counts: dict, m: int, c: int) -> float:
+    """Normalized entropy summed over a dict of counts in sorted pattern order."""
+    values = np.array([counts[k] for k in sorted(counts)], dtype=float)
+    probs = values / values.sum()
+    h = float(-(probs * np.log(probs)).sum()) / (m * math.log(c))
+    return min(max(h, 0.0), 1.0)
+
+
+@EXAMPLES
+@given(class_rows())
+def test_from_class_rows_counts_every_distinct_row(case):
+    rows, m, c = case
+    hist = DispersionHistogram.from_class_rows(rows, m, c)
+    expected = Counter(map(tuple, rows.tolist()))
+    assert hist.counts == expected
+    assert dict(hist.counts.items()) == expected
+    assert hist.total == len(rows)
+    assert hist == DispersionHistogram(expected, m=m, c=c)
+
+
+@EXAMPLES
+@given(class_rows())
+def test_normalized_entropy_equals_the_dict_sorted_formula_bitwise(case):
+    rows, m, c = case
+    hist = DispersionHistogram.from_class_rows(rows, m, c)
+    expected = dict_sorted_entropy(Counter(map(tuple, rows.tolist())), m, c)
+    assert normalized_entropy(hist).hex() == expected.hex()
+    assert 0.0 <= normalized_entropy(hist) <= 1.0
+
+
+@EXAMPLES
+@given(class_rows(), st.lists(st.lists(st.integers(-2, 12), min_size=1, max_size=6), max_size=20))
+def test_counts_view_behaves_like_a_sorted_dict(case, probes):
+    rows, m, c = case
+    view = DispersionHistogram.from_class_rows(rows, m, c).counts
+    reference = dict(sorted(Counter(map(tuple, rows.tolist())).items()))
+    assert len(view) == len(reference)
+    assert list(view) == list(reference)
+    assert list(view.items()) == list(reference.items())
+    for key in [*reference, *map(tuple, probes), tuple(rows[0].tolist()) + (1,), "not a pattern"]:
+        assert (key in view) == (key in reference)
+        if key in reference:
+            assert view[key] == reference[key]
+        else:
+            with pytest.raises(KeyError):
+                view[key]
+
+
+@EXAMPLES
+@given(
+    st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(4, 20), st.integers(2, 3),
+    st.sampled_from([2, 3, 6, 300]),
+)
+def test_classical_mvde_counts_every_subset_pattern(seed, p, n, m, c):
+    # c = 300 puts c^m above twice the window count (and above 2^24 at m = 3),
+    # where per-subset np.unique counts are merged
+    signal = MultivariateSignal(np.random.default_rng(seed).standard_normal((p, n)))
+    _, hist = classical_mvde(signal, m, c)
+    classes = ncdf_map(signal, c)
+    expected = Counter()
+    for t in range(n - m + 1):
+        window = classes[:, t:t + m].reshape(-1).tolist()
+        expected.update(combinations(window, m))
+    assert hist.counts == expected
+    assert list(hist.counts) == sorted(expected)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda c, m: mvdeg_single_scale(gen_wgn(2, 50, 0), build_zero_graph(2), m, c),
+        lambda c, m: univariate_single_scale(gen_wgn(1, 50, 0).values[0], m, c),
+        lambda c, m: classical_mvde(gen_wgn(2, 50, 0), m, c),
+        lambda c, m: DispersionHistogram.from_class_rows(np.ones((3, m), dtype=np.int64), m, c),
+        lambda c, m: EmbeddingConfig(m=m, c=c),
+    ],
+    ids=["mvdeg_single_scale", "univariate_single_scale", "classical_mvde", "from_class_rows",
+         "EmbeddingConfig"],
+)
+def test_pattern_codes_that_would_wrap_int64_are_refused(entry):
+    # 5e9^2 > 2^62: base-c codes of such patterns wrap int64
+    with pytest.raises(DimensionError):
+        entry(5_000_000_000, 2)
+
+
+@pytest.mark.parametrize("rows", [[[7, 1]], [[1, 0]], [[1, 2], [3, 4]]])
+def test_from_class_rows_rejects_classes_outside_1_to_c(rows):
+    with pytest.raises(DimensionError):
+        DispersionHistogram.from_class_rows(np.array(rows), 2, 3)
+
+
+# ── reductions and invariances of the graph-based pipeline ──────────────────
+
+
+@EXAMPLES
+@given(signals_and_graphs(min_n=6, max_n=60, max_p=4), st.integers(2, 4), st.integers(2, 8))
+def test_zero_graph_histogram_is_the_union_of_channel_histograms(case, m, c):
+    signal, _ = case
+    _, hist = mvdeg_single_scale(signal, build_zero_graph(signal.p), m, c)
+    merged = Counter()
+    for channel in signal.values:
+        merged.update(univariate_single_scale(channel, m, c)[1].counts)
+    assert hist.counts == merged
+
+
+@EXAMPLES
+@given(
+    st.integers(0, 2**32 - 1), st.integers(6, 80), st.integers(2, 4), st.integers(2, 8),
+    st.integers(1, 6),
+)
+def test_single_channel_curve_is_univariate_mde(seed, n, m, c, max_scale):
+    x = np.random.default_rng(seed).standard_normal(n)
+    config = EmbeddingConfig(m=m, c=c, max_scale=max_scale)
+    graph_curve = mvdeg_curve(MultivariateSignal(x[None, :]), build_zero_graph(1), config)
+    mde_curve = univariate_mde(x, config)
+    assert len(graph_curve.records) == len(mde_curve.records) == max_scale
+    for got, want in zip(graph_curve.records, mde_curve.records):
+        assert (got.tau, got.defined, got.n_realizations) == (
+            want.tau, want.defined, want.n_realizations
+        )
+        assert got.mean == want.mean or (math.isnan(got.mean) and math.isnan(want.mean))
+
+
+@EXAMPLES
+@given(signals_and_graphs(min_n=6, max_n=60, max_p=4), st.integers(2, 5), st.integers(2, 8))
+def test_entropy_lies_in_unit_interval(case, m, c):
+    signal, graph = case
+    value, hist = mvdeg_single_scale(signal, graph, m, c)
+    assert 0.0 <= value <= 1.0
+    assert hist.total == (signal.n_samples - m + 1) * signal.p
+
+
+@EXAMPLES
+@given(signals_and_graphs(min_n=6, max_n=60, max_p=4), st.integers(2, 4), st.integers(2, 8),
+       st.data())
+def test_positive_gain_and_offset_per_channel_keep_the_histogram(case, m, c, data):
+    # gains and offsets stay within a few decades, so the affine map moves
+    # standardized values by a few ulps and flips no class in practice
+    signal, graph = case
+    gains = data.draw(st.lists(st.floats(0.05, 50.0), min_size=signal.p, max_size=signal.p))
+    offsets = data.draw(st.lists(st.floats(-100.0, 100.0), min_size=signal.p, max_size=signal.p))
+    moved = MultivariateSignal(
+        np.array(gains)[:, None] * signal.values + np.array(offsets)[:, None]
+    )
+    _, hist = mvdeg_single_scale(signal, graph, m, c)
+    _, moved_hist = mvdeg_single_scale(moved, graph, m, c)
+    assert moved_hist.counts == hist.counts
