@@ -13,7 +13,7 @@ import platform
 import statistics
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -127,29 +127,19 @@ def run_timing_sweep(
     for index, n in enumerate(n_values):
         signal = gen_wgn(p, n, realization_seed(seed, index))
         classical_count, graph_bound = pattern_counts(n, p, m)
+        timed = {
+            "classical": lambda: classical_mvde(signal, m, c, tau=1, pattern_cap=pattern_cap),
+            "mvdeg": lambda: mvdeg_single_scale(signal, graph, m, c),
+        }
         for method in methods:
-            if method == "classical" and classical_count > pattern_cap:
-                cells.append(
-                    TimingCell(
-                        method, n, p, m, c,
-                        wall_time_s=None,
-                        classical_patterns=classical_count,
-                        graph_bound_patterns=graph_bound,
-                        outcome="refused-capacity",
-                    )
-                )
-                continue
-            if method == "classical":
-                fn = lambda s=signal: classical_mvde(s, m, c, tau=1, pattern_cap=pattern_cap)
-            else:
-                fn = lambda s=signal: mvdeg_single_scale(s, graph, m, c)
+            refused = method == "classical" and classical_count > pattern_cap
             cells.append(
                 TimingCell(
                     method, n, p, m, c,
-                    wall_time_s=_median_time(fn, repetitions, warmup),
+                    wall_time_s=None if refused else _median_time(timed[method], repetitions, warmup),
                     classical_patterns=classical_count,
                     graph_bound_patterns=graph_bound,
-                    outcome="ok",
+                    outcome="refused-capacity" if refused else "ok",
                 )
             )
     return TimingReport(cells=tuple(cells), environment=environment_info(), seed=seed)
@@ -232,14 +222,7 @@ def run_noise_experiment(
     for cond_index, (cond_label, spec) in enumerate(conditions):
         per_real = []
         for r in range(realizations):
-            spec_r = GeneratorSpec(
-                kind=spec.kind,
-                p=spec.p,
-                n_samples=spec.n_samples,
-                seed=realization_seed(seed, cond_index, r),
-                params=spec.params,
-                version=spec.version,
-            )
+            spec_r = replace(spec, seed=realization_seed(seed, cond_index, r))
             signal = generate(spec_r)
             graph = _policy_graph(graph_policy, spec_r, signal)
             per_real.append(mvdeg_curve(signal, graph, config))
@@ -276,14 +259,7 @@ def compare_graph_policies(
     theo_curves = []
     est_curves = []
     for r in range(realizations):
-        spec_r = GeneratorSpec(
-            kind=spec.kind,
-            p=spec.p,
-            n_samples=spec.n_samples,
-            seed=realization_seed(seed, 0, r),
-            params=spec.params,
-            version=spec.version,
-        )
+        spec_r = replace(spec, seed=realization_seed(seed, 0, r))
         signal = generate(spec_r)
         theo_curves.append(
             mvdeg_curve(signal, _policy_graph("theoretical", spec_r, signal), config)

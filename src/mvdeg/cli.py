@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from importlib.metadata import PackageNotFoundError, version
 
@@ -23,10 +22,8 @@ from .bench import (
 )
 from .entropy import (
     EmbeddingConfig,
-    EntropyCurve,
     PATTERN_CAP,
-    ScaleRecord,
-    classical_mvde,
+    classical_mvde_curve,
     mvdeg_curve,
     univariate_mde,
 )
@@ -169,33 +166,14 @@ def _cmd_entropy(args, parser: _Parser) -> int:
                 f"graph has {graph.n} vertices but {args.input} has {signal.p} channels"
             )
         curve = mvdeg_curve(signal, graph, config)
-        graph_desc = graph.describe()
     elif args.method == "classical":
-        records = []
-        for tau in range(1, config.max_scale + 1):
-            if signal.n_samples // tau < config.m + 1:
-                records.append(ScaleRecord(tau, math.nan, math.nan, 0, False))
-                continue
-            value, _ = classical_mvde(
-                signal, config.m, config.c, tau=tau, pattern_cap=args.cap
-            )
-            records.append(ScaleRecord(tau, value, 0.0, 1, True))
-        curve = EntropyCurve(
-            method="mvde",
-            records=tuple(records),
-            m=config.m,
-            c=config.c,
-            graph="none",
-            seed=None,
-        )
-        graph_desc = "none"
+        curve = classical_mvde_curve(signal, config, pattern_cap=args.cap)
     else:  # mde
         if signal.p != 1:
             raise DimensionError(
                 f"--method mde needs a single-channel signal, got p={signal.p}"
             )
         curve = univariate_mde(signal.values[0], config)
-        graph_desc = curve.graph
     mio.write_curves_csv([curve], args.out)
     sidecar = f"{args.out}.json"
     mio.write_curves_json(
@@ -204,7 +182,7 @@ def _cmd_entropy(args, parser: _Parser) -> int:
         config={
             "input": str(args.input),
             "method": args.method,
-            "graph": graph_desc,
+            "graph": curve.graph,
             "m": config.m,
             "c": config.c,
             "max_scale": config.max_scale,

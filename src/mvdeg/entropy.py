@@ -15,7 +15,7 @@ only in how patterns are extracted:
 from __future__ import annotations
 
 import math
-from collections.abc import ItemsView, Iterable, Iterator, Mapping
+from collections.abc import Callable, ItemsView, Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from itertools import chain, combinations
 
@@ -47,13 +47,9 @@ class EmbeddingConfig:
     max_scale: int = 20
 
     def __post_init__(self):
-        if self.m < 2:
-            raise DimensionError(f"embedding dimension must be >= 2, got {self.m}")
-        if self.c < 2:
-            raise DimensionError(f"class count must be >= 2, got {self.c}")
+        _check_embedding(self.m, self.c)
         if self.max_scale < 1:
             raise DimensionError(f"max scale must be >= 1, got {self.max_scale}")
-        _check_code_range(self.m, self.c)
 
 
 class DispersionHistogram:
@@ -226,6 +222,15 @@ def _check_code_range(m: int, c: int) -> None:
         raise DimensionError(f"c^m = {c}^{m} exceeds the pattern-encoding range")
 
 
+def _check_embedding(m: int, c: int) -> None:
+    """Refuse an embedding dimension or class count no pipeline can use."""
+    if m < 2:
+        raise DimensionError(f"embedding dimension must be >= 2, got {m}")
+    if c < 2:
+        raise DimensionError(f"class count must be >= 2, got {c}")
+    _check_code_range(m, c)
+
+
 def _decode_pattern(code: int, m: int, c: int) -> tuple[int, ...]:
     out = []
     for _ in range(m):
@@ -275,6 +280,24 @@ def ncdf_map(signal: MultivariateSignal, c: int) -> np.ndarray:
     return _classes_from_z(_standardize(signal.values), c)
 
 
+def _curve(
+    n_samples: int, config: EmbeddingConfig, entropy_at: Callable[[int], float],
+    method: str, graph: str, seed: int | None,
+) -> EntropyCurve:
+    """Entropy versus scale: entropy_at(tau) at each tau = 1..max_scale.
+
+    A scale whose coarse-grained length n_samples // tau drops below m+1 is
+    recorded as undefined rather than skipped.
+    """
+    records = []
+    for tau in range(1, config.max_scale + 1):
+        if n_samples // tau < config.m + 1:
+            records.append(ScaleRecord(tau, math.nan, math.nan, 0, False))
+        else:
+            records.append(ScaleRecord(tau, entropy_at(tau), 0.0, 1, True))
+    return EntropyCurve(method, tuple(records), config.m, config.c, graph, seed)
+
+
 def mvdeg_single_scale(
     signal: MultivariateSignal, graph: WeightedGraph, m: int, c: int
 ) -> tuple[float, DispersionHistogram]:
@@ -285,11 +308,7 @@ def mvdeg_single_scale(
     vertex whose m-1 hop horizon stays on the time axis contributes one
     pattern. Returns the normalized entropy and the pattern histogram.
     """
-    if m < 2:
-        raise DimensionError(f"embedding dimension must be >= 2, got {m}")
-    if c < 2:
-        raise DimensionError(f"class count must be >= 2, got {c}")
-    _check_code_range(m, c)
+    _check_embedding(m, c)
     if signal.p != graph.n:
         raise DimensionError(
             f"signal has {signal.p} channels but graph has {graph.n} vertices"
@@ -313,35 +332,21 @@ def mvdeg_curve(
     method: str = "mvdeg",
     seed: int | None = None,
 ) -> EntropyCurve:
-    """Entropy versus scale for one signal.
+    """Graph-based entropy versus scale for one signal."""
 
-    Scales whose coarse-grained length drops below m+1 are recorded as
-    undefined rather than skipped.
-    """
-    records = []
-    for tau in range(1, config.max_scale + 1):
-        length = signal.n_samples // tau
-        if length < config.m + 1:
-            records.append(ScaleRecord(tau, math.nan, math.nan, 0, False))
-            continue
-        coarse = coarse_grain(signal, tau)
-        value, _ = mvdeg_single_scale(coarse, graph, config.m, config.c)
-        records.append(ScaleRecord(tau, value, 0.0, 1, True))
-    return EntropyCurve(
-        method=method,
-        records=tuple(records),
-        m=config.m,
-        c=config.c,
-        graph=graph.describe(),
-        seed=seed,
-    )
+    def entropy_at(tau: int) -> float:
+        return mvdeg_single_scale(coarse_grain(signal, tau), graph, config.m, config.c)[0]
+
+    return _curve(signal.n_samples, config, entropy_at, method, graph.describe(), seed)
 
 
 def pattern_counts(n_samples: int, p: int, m: int) -> tuple[int, int]:
     """Exact pattern workloads at one scale: (classical, graph-based bound).
 
     Classical multivariate DE enumerates (N - m + 1) * C(m p, m) patterns;
-    the graph-based method processes at most (N - m) * p.
+    the graph-based figure is the paper's (N - m) * p. mvdeg_single_scale
+    itself counts (N - m + 1) * p patterns, one per vertex whose m-1 hop
+    horizon stays on the time axis.
     """
     if m < 2:
         raise DimensionError(f"embedding dimension must be >= 2, got {m}")
@@ -371,11 +376,7 @@ def classical_mvde(
     checked against pattern_cap before any enumeration and refused with
     CapacityError when it exceeds the cap.
     """
-    if m < 2:
-        raise DimensionError(f"embedding dimension must be >= 2, got {m}")
-    if c < 2:
-        raise DimensionError(f"class count must be >= 2, got {c}")
-    _check_code_range(m, c)
+    _check_embedding(m, c)
     coarse = coarse_grain(signal, tau)
     length = coarse.n_samples
     if length < m + 1:
@@ -397,6 +398,22 @@ def classical_mvde(
     return normalized_entropy(histogram), histogram
 
 
+def classical_mvde_curve(
+    signal: MultivariateSignal,
+    config: EmbeddingConfig,
+    pattern_cap: int = PATTERN_CAP,
+) -> EntropyCurve:
+    """Classical multivariate dispersion entropy versus scale.
+
+    Every defined scale must fit pattern_cap, or CapacityError is raised.
+    """
+
+    def entropy_at(tau: int) -> float:
+        return classical_mvde(signal, config.m, config.c, tau=tau, pattern_cap=pattern_cap)[0]
+
+    return _curve(signal.n_samples, config, entropy_at, "mvde", "none", None)
+
+
 def univariate_single_scale(
     channel: np.ndarray, m: int, c: int
 ) -> tuple[float, DispersionHistogram]:
@@ -404,9 +421,9 @@ def univariate_single_scale(
     x = np.asarray(channel, dtype=float)
     if x.ndim != 1:
         raise DimensionError(f"expected a 1-D channel, got shape {x.shape}")
+    _check_embedding(m, c)
     if x.size < m + 1:
         raise DimensionError(f"need more than m={m} samples, got {x.size}")
-    _check_code_range(m, c)
     classes = ncdf_map(MultivariateSignal(x[None, :]), c)[0]
     windows = sliding_window_view(classes, m)
     histogram = DispersionHistogram.from_class_rows(np.ascontiguousarray(windows), m, c)
@@ -428,20 +445,9 @@ def univariate_mde(
     x = np.asarray(channel, dtype=float)
     if x.ndim != 1:
         raise DimensionError(f"expected a 1-D channel, got shape {x.shape}")
-    records = []
-    for tau in range(1, config.max_scale + 1):
-        length = x.size // tau
-        if length < config.m + 1:
-            records.append(ScaleRecord(tau, math.nan, math.nan, 0, False))
-            continue
+
+    def entropy_at(tau: int) -> float:
         coarse = coarse_grain(MultivariateSignal(x[None, :]), tau)
-        value, _ = univariate_single_scale(coarse.values[0], config.m, config.c)
-        records.append(ScaleRecord(tau, value, 0.0, 1, True))
-    return EntropyCurve(
-        method=method,
-        records=tuple(records),
-        m=config.m,
-        c=config.c,
-        graph=build_zero_graph(1).describe(),
-        seed=seed,
-    )
+        return univariate_single_scale(coarse.values[0], config.m, config.c)[0]
+
+    return _curve(x.size, config, entropy_at, method, build_zero_graph(1).describe(), seed)

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvdeg import (
+    CapacityError,
     DimensionError,
     DispersionHistogram,
     EmbeddingConfig,
@@ -21,6 +22,7 @@ from mvdeg import (
     build_hop_basis,
     build_zero_graph,
     classical_mvde,
+    classical_mvde_curve,
     gen_wgn,
     mvdeg_curve,
     mvdeg_single_scale,
@@ -324,3 +326,38 @@ def test_positive_gain_and_offset_per_channel_keep_the_histogram(case, m, c, dat
     _, hist = mvdeg_single_scale(signal, graph, m, c)
     _, moved_hist = mvdeg_single_scale(moved, graph, m, c)
     assert moved_hist.counts == hist.counts
+
+
+# ── one embedding contract for every entry point and every curve ────────────
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda c, m: mvdeg_single_scale(gen_wgn(2, 50, 0), build_zero_graph(2), m, c),
+        lambda c, m: univariate_single_scale(gen_wgn(1, 50, 0).values[0], m, c),
+        lambda c, m: classical_mvde(gen_wgn(2, 50, 0), m, c),
+        lambda c, m: EmbeddingConfig(m=m, c=c),
+    ],
+    ids=["mvdeg_single_scale", "univariate_single_scale", "classical_mvde", "EmbeddingConfig"],
+)
+@pytest.mark.parametrize("c, m", [(6, -1), (6, 0), (6, 1), (1, 4), (0, 4)])
+def test_embedding_below_m_2_or_c_2_is_refused(entry, c, m):
+    with pytest.raises(DimensionError):
+        entry(c, m)
+
+
+def test_classical_curve_is_classical_mvde_per_scale():
+    signal = gen_wgn(2, 30, 0)
+    curve = classical_mvde_curve(signal, EmbeddingConfig(m=2, c=3, max_scale=12))
+    assert (curve.method, curve.graph, curve.m, curve.c) == ("mvde", "none", 2, 3)
+    assert [r.tau for r in curve.records] == list(range(1, 13))
+    for record in curve.records[:10]:
+        assert record.defined and record.n_realizations == 1
+        assert record.mean == classical_mvde(signal, 2, 3, record.tau)[0]
+    # 30 // 11 = 2 samples cannot hold an m=2 window plus one step
+    for record in curve.records[10:]:
+        assert not record.defined and record.n_realizations == 0
+        assert math.isnan(record.mean)
+    with pytest.raises(CapacityError):
+        classical_mvde_curve(signal, EmbeddingConfig(m=2, c=3, max_scale=12), pattern_cap=10)
