@@ -34,6 +34,7 @@ from .graphs import (
     WeightedGraph,
     build_complete_graph,
     build_zero_graph,
+    correlation_graph,
     estimate_correlation_graph,
 )
 from .signal import MultivariateSignal
@@ -180,10 +181,7 @@ def aggregate_curves(
 def _theoretical_graph(spec: GeneratorSpec) -> WeightedGraph:
     """Channel graph from the correlation structure the generator was told to use."""
     if spec.kind == "correlated":
-        corr = np.asarray(spec.params["corr"], dtype=float)
-        w = np.abs(corr).clip(0.0, 1.0)
-        np.fill_diagonal(w, 0.0)
-        return WeightedGraph(w, directed=False, kind="correlation")
+        return correlation_graph(spec.params["corr"])
     # independent channels by construction
     return build_zero_graph(spec.p)
 
@@ -247,7 +245,6 @@ def compare_graph_policies(
     config: EmbeddingConfig,
     realizations: int,
     seed: int,
-    label: str = "graph-compare",
 ) -> EnsembleReport:
     """Theoretical versus estimated correlation graph on identical signals.
 
@@ -279,7 +276,7 @@ def compare_graph_policies(
         diffs.append(float(np.mean(per_real)))
     finite = [d for d in diffs if not math.isnan(d)]
     return EnsembleReport(
-        label=label,
+        label="graph-compare",
         curves=(
             aggregate_curves(theo_curves, method="theoretical", seed=seed),
             aggregate_curves(est_curves, method="estimated", seed=seed),

@@ -7,12 +7,11 @@ Exit codes: 0 success, 1 usage, 2 malformed input file, 3 dimension mismatch,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from dataclasses import replace
 from importlib.metadata import PackageNotFoundError, version
 
 from .bench import (
-    EnsembleReport,
     GRAPH_POLICIES,
     compare_graph_policies,
     run_noise_experiment,
@@ -52,24 +51,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _int_list(text: str, flag: str, parser: _Parser) -> list[int]:
+def _number_list(text: str, flag: str, parser: _Parser, kind: type) -> list:
+    """Comma-separated ints or floats; kind is int or float."""
     items = [s for s in (part.strip() for part in text.split(",")) if s]
     if not items:
         parser.error(f"{flag} needs at least one value")
     try:
-        return [int(s) for s in items]
+        return [kind(s) for s in items]
     except ValueError:
-        parser.error(f"{flag} must be a comma-separated list of integers")
-
-
-def _float_list(text: str, flag: str, parser: _Parser) -> list[float]:
-    items = [s for s in (part.strip() for part in text.split(",")) if s]
-    if not items:
-        parser.error(f"{flag} needs at least one value")
-    try:
-        return [float(s) for s in items]
-    except ValueError:
-        parser.error(f"{flag} must be a comma-separated list of numbers")
+        noun = "integers" if kind is int else "numbers"
+        parser.error(f"{flag} must be a comma-separated list of {noun}")
 
 
 # ── commands ─────────────────────────────────────────────────────────────────
@@ -102,65 +93,57 @@ def _cmd_generate(args, parser: _Parser) -> int:
     signal = generate(spec)
     mio.write_signal_csv(signal, args.out)
     sidecar = f"{args.out}.json"
-    with open(sidecar, "w") as f:
-        json.dump(
-            {
-                "kind": spec.kind,
-                "p": spec.p,
-                "n_samples": spec.n_samples,
-                "seed": spec.seed,
-                "params": spec.params,
-                "generator_version": spec.version,
-                "package": f"mvdeg {_VERSION}",
-            },
-            f,
-            indent=1,
-        )
-        f.write("\n")
+    mio.write_json(
+        {
+            "kind": spec.kind,
+            "p": spec.p,
+            "n_samples": spec.n_samples,
+            "seed": spec.seed,
+            "params": spec.params,
+            "generator_version": spec.version,
+            "package": f"mvdeg {_VERSION}",
+        },
+        sidecar,
+    )
     print(f"wrote {args.out} ({signal.p} channels x {signal.n_samples} samples) and {sidecar}")
     return 0
 
 
-def _cmd_graph(args, parser: _Parser) -> int:
-    if args.kind in ("zero", "complete"):
-        if args.p is None:
-            parser.error(f"--kind {args.kind} requires --p")
-        graph = build_zero_graph(args.p) if args.kind == "zero" else build_complete_graph(args.p)
-    elif args.kind == "correlation":
-        if args.signal is None:
-            parser.error("--kind correlation requires --signal")
-        graph = estimate_correlation_graph(mio.read_signal_csv(args.signal))
-    else:  # gaussian
-        if args.coords is None or args.sigma1_sq is None or args.sigma2 is None:
-            parser.error("--kind gaussian requires --coords, --sigma1-sq and --sigma2")
-        layout = mio.read_station_csv(args.coords)
-        graph = build_gaussian_kernel_graph(layout, args.sigma1_sq, args.sigma2)
-    mio.write_graph_json(graph, args.out)
-    print(f"wrote {args.out} ({graph.describe()})")
-    return 0
-
-
-def _resolve_graph(args, parser: _Parser, signal):
-    name = args.graph
+def _build_graph(name: str, flag: str, args, parser: _Parser, p, signal):
+    """The channel graph that `flag name` asks for; an unknown name is a graph JSON path."""
     if name == "zero":
-        return build_zero_graph(signal.p)
+        return build_zero_graph(p)
     if name == "complete":
-        return build_complete_graph(signal.p)
+        return build_complete_graph(p)
     if name == "correlation":
         return estimate_correlation_graph(signal)
     if name == "gaussian":
         if args.coords is None or args.sigma1_sq is None or args.sigma2 is None:
-            parser.error("--graph gaussian requires --coords, --sigma1-sq and --sigma2")
+            parser.error(f"{flag} gaussian requires --coords, --sigma1-sq and --sigma2")
         layout = mio.read_station_csv(args.coords)
         return build_gaussian_kernel_graph(layout, args.sigma1_sq, args.sigma2)
     return mio.read_graph_json(name)
+
+
+def _cmd_graph(args, parser: _Parser) -> int:
+    if args.kind in ("zero", "complete") and args.p is None:
+        parser.error(f"--kind {args.kind} requires --p")
+    signal = None
+    if args.kind == "correlation":
+        if args.signal is None:
+            parser.error("--kind correlation requires --signal")
+        signal = mio.read_signal_csv(args.signal)
+    graph = _build_graph(args.kind, "--kind", args, parser, args.p, signal)
+    mio.write_graph_json(graph, args.out)
+    print(f"wrote {args.out} ({graph.describe()})")
+    return 0
 
 
 def _cmd_entropy(args, parser: _Parser) -> int:
     signal = mio.read_signal_csv(args.input)
     config = EmbeddingConfig(m=args.m, c=args.c, max_scale=args.max_scale)
     if args.method == "mvdeg":
-        graph = _resolve_graph(args, parser, signal)
+        graph = _build_graph(args.graph, "--graph", args, parser, signal.p, signal)
         if graph.n != signal.p:
             raise DimensionError(
                 f"graph has {graph.n} vertices but {args.input} has {signal.p} channels"
@@ -197,7 +180,7 @@ def _cmd_entropy(args, parser: _Parser) -> int:
 
 
 def _cmd_bench(args, parser: _Parser) -> int:
-    n_values = _int_list(args.Ns, "--Ns", parser)
+    n_values = _number_list(args.Ns, "--Ns", parser, int)
     methods = [s.strip() for s in args.methods.split(",") if s.strip()]
     if not methods:
         parser.error("--methods needs at least one method")
@@ -221,8 +204,10 @@ def _cmd_bench(args, parser: _Parser) -> int:
 
 def _cmd_ensemble(args, parser: _Parser) -> int:
     config = EmbeddingConfig(m=args.m, c=args.c, max_scale=args.max_scale)
+    n = args.n if args.n is not None else (15000 if args.experiment == "mixture" else 500)
+    # zero-graph ensembles of correlated signals use the generator's own correlation
+    policy = args.graph_policy if args.graph_policy != "zero" else "theoretical"
     if args.experiment == "mixture":
-        n = args.n if args.n is not None else 15000
         conditions = [
             (f"F({q})", GeneratorSpec("mixture", 3, n, 0, {"q": q})) for q in range(4)
         ]
@@ -231,8 +216,7 @@ def _cmd_ensemble(args, parser: _Parser) -> int:
             label="mixture",
         )
     elif args.experiment == "degrees":
-        n = args.n if args.n is not None else 500
-        degrees = _float_list(args.degrees, "--degrees", parser)
+        degrees = _number_list(args.degrees, "--degrees", parser, float)
         conditions = [
             (
                 f"rho={rho}",
@@ -243,36 +227,25 @@ def _cmd_ensemble(args, parser: _Parser) -> int:
             )
             for rho in degrees
         ]
-        policy = args.graph_policy if args.graph_policy != "zero" else "theoretical"
         report = run_noise_experiment(
             conditions, policy, config, args.realizations, args.seed, label="degrees"
         )
     elif args.experiment == "sets":
-        n = args.n if args.n is not None else 500
         conditions = [
             (label, GeneratorSpec("correlated", 4, n, 0, {"corr": corr.tolist()}))
             for label, corr in structured_correlation_sets(args.block_rho)
         ]
-        policy = args.graph_policy if args.graph_policy != "zero" else "theoretical"
         report = run_noise_experiment(
             conditions, policy, config, args.realizations, args.seed, label="sets"
         )
     else:  # graph-compare
-        n = args.n if args.n is not None else 500
-        degrees = _float_list(args.degrees, "--degrees", parser)
+        degrees = _number_list(args.degrees, "--degrees", parser, float)
         spec = GeneratorSpec(
             "correlated", args.p, n, 0,
             {"corr": uniform_correlation(args.p, degrees[0]).tolist()},
         )
         report = compare_graph_policies(spec, config, args.realizations, args.seed)
-    report = EnsembleReport(
-        label=report.label,
-        curves=report.curves,
-        realizations=report.realizations,
-        seed=report.seed,
-        config={**report.config, "threads": args.threads},
-        summary=report.summary,
-    )
+    report = replace(report, config={**report.config, "threads": args.threads})
     mio.write_ensemble_report(report, f"{args.out}.json", f"{args.out}.csv")
     print(
         f"wrote {args.out}.json and {args.out}.csv "
@@ -334,7 +307,6 @@ def _build_parser() -> _Parser:
     ben.add_argument("--methods", default="mvdeg,classical")
     ben.add_argument("--seed", type=int, default=0)
     ben.add_argument("--cap", type=int, default=PATTERN_CAP)
-    ben.add_argument("--threads", type=int, default=1, help="recorded in the report")
     ben.add_argument("--out", required=True, help="output path prefix")
     ben.set_defaults(func=_cmd_bench)
 

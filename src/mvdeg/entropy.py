@@ -282,7 +282,7 @@ def ncdf_map(signal: MultivariateSignal, c: int) -> np.ndarray:
 
 def _curve(
     n_samples: int, config: EmbeddingConfig, entropy_at: Callable[[int], float],
-    method: str, graph: str, seed: int | None,
+    method: str, graph: str,
 ) -> EntropyCurve:
     """Entropy versus scale: entropy_at(tau) at each tau = 1..max_scale.
 
@@ -295,7 +295,7 @@ def _curve(
             records.append(ScaleRecord(tau, math.nan, math.nan, 0, False))
         else:
             records.append(ScaleRecord(tau, entropy_at(tau), 0.0, 1, True))
-    return EntropyCurve(method, tuple(records), config.m, config.c, graph, seed)
+    return EntropyCurve(method, tuple(records), config.m, config.c, graph)
 
 
 def mvdeg_single_scale(
@@ -329,15 +329,13 @@ def mvdeg_curve(
     signal: MultivariateSignal,
     graph: WeightedGraph,
     config: EmbeddingConfig,
-    method: str = "mvdeg",
-    seed: int | None = None,
 ) -> EntropyCurve:
     """Graph-based entropy versus scale for one signal."""
 
     def entropy_at(tau: int) -> float:
         return mvdeg_single_scale(coarse_grain(signal, tau), graph, config.m, config.c)[0]
 
-    return _curve(signal.n_samples, config, entropy_at, method, graph.describe(), seed)
+    return _curve(signal.n_samples, config, entropy_at, "mvdeg", graph.describe())
 
 
 def pattern_counts(n_samples: int, p: int, m: int) -> tuple[int, int]:
@@ -411,7 +409,7 @@ def classical_mvde_curve(
     def entropy_at(tau: int) -> float:
         return classical_mvde(signal, config.m, config.c, tau=tau, pattern_cap=pattern_cap)[0]
 
-    return _curve(signal.n_samples, config, entropy_at, "mvde", "none", None)
+    return _curve(signal.n_samples, config, entropy_at, "mvde", "none")
 
 
 def univariate_single_scale(
@@ -433,8 +431,6 @@ def univariate_single_scale(
 def univariate_mde(
     channel: np.ndarray,
     config: EmbeddingConfig,
-    method: str = "mde",
-    seed: int | None = None,
 ) -> EntropyCurve:
     """Univariate multiscale dispersion entropy of one 1-D series.
 
@@ -450,4 +446,4 @@ def univariate_mde(
         coarse = coarse_grain(MultivariateSignal(x[None, :]), tau)
         return univariate_single_scale(coarse.values[0], config.m, config.c)[0]
 
-    return _curve(x.size, config, entropy_at, method, build_zero_graph(1).describe(), seed)
+    return _curve(x.size, config, entropy_at, "mde", build_zero_graph(1).describe())

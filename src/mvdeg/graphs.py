@@ -127,6 +127,13 @@ def build_gaussian_kernel_graph(
     return WeightedGraph(w, directed=False, kind="gaussian_kernel")
 
 
+def correlation_graph(corr: np.ndarray) -> WeightedGraph:
+    """Graph of absolute correlations, clipped to [0, 1], diagonal zeroed."""
+    w = np.abs(np.asarray(corr, dtype=float)).clip(0.0, 1.0)
+    np.fill_diagonal(w, 0.0)
+    return WeightedGraph(w, directed=False, kind="correlation")
+
+
 def estimate_correlation_graph(signal: MultivariateSignal) -> WeightedGraph:
     """Absolute Pearson correlation between channels, diagonal zeroed.
 
@@ -143,7 +150,4 @@ def estimate_correlation_graph(signal: MultivariateSignal) -> WeightedGraph:
             raise DegenerateChannelError(k)
     r = np.corrcoef(signal.values)
     # corrcoef via gemm is symmetric only up to rounding; make it exact
-    r = (r + r.T) / 2.0
-    w = np.abs(r).clip(0.0, 1.0)
-    np.fill_diagonal(w, 0.0)
-    return WeightedGraph(w, directed=False, kind="correlation")
+    return correlation_graph((r + r.T) / 2.0)

@@ -15,19 +15,34 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .bench import EnsembleReport, TimingReport
+from .bench import EnsembleReport, TimingCell, TimingReport
 from .entropy import EntropyCurve, ScaleRecord
 from .errors import DimensionError, ParseError
 from .graphs import StationLayout, WeightedGraph
 from .signal import MultivariateSignal
 
 CURVE_CSV_HEADER = ("method", "tau", "mean", "sd", "n_realizations")
+
+
+def write_json(payload, path: str | Path) -> None:
+    """Every JSON file the package writes: indent 1, trailing newline."""
+    with open(path, "w") as f:
+        json.dump(payload, f, indent=1)
+        f.write("\n")
+
+
+def _read_json(path: str | Path):
+    with open(path) as f:
+        try:
+            return json.load(f)
+        except json.JSONDecodeError as err:
+            raise ParseError(f"{path}: {err.msg}", line=err.lineno, column=err.colno) from None
 
 
 # ── signals ──────────────────────────────────────────────────────────────────
@@ -145,27 +160,15 @@ def graph_from_json(obj: dict) -> WeightedGraph:
 
 
 def read_graph_json(path: str | Path) -> WeightedGraph:
-    with open(path) as f:
-        try:
-            obj = json.load(f)
-        except json.JSONDecodeError as err:
-            raise ParseError(f"{path}: {err.msg}", line=err.lineno, column=err.colno) from None
-    return graph_from_json(obj)
+    return graph_from_json(_read_json(path))
 
 
 def write_graph_json(graph: WeightedGraph, path: str | Path) -> None:
-    with open(path, "w") as f:
-        json.dump(graph_to_json(graph), f, indent=1)
-        f.write("\n")
+    write_json(graph_to_json(graph), path)
 
 
 def read_correlation_json(path: str | Path) -> np.ndarray:
-    with open(path) as f:
-        try:
-            obj = json.load(f)
-        except json.JSONDecodeError as err:
-            raise ParseError(f"{path}: {err.msg}", line=err.lineno, column=err.colno) from None
-    arr = np.asarray(obj, dtype=float)
+    arr = np.asarray(_read_json(path), dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ParseError(f"{path}: correlation JSON must be a square 2-D array")
     return arr
@@ -219,59 +222,40 @@ def write_curves_json(
     payload: dict = {"curves": [curve_to_json(c) for c in curves]}
     if config:
         payload["config"] = config
-    with open(path, "w") as f:
-        json.dump(payload, f, indent=1)
-        f.write("\n")
+    write_json(payload, path)
 
 
 # ── reports ──────────────────────────────────────────────────────────────────
 
 
 def write_timing_report(report: TimingReport, json_path: str | Path, csv_path: str | Path) -> None:
-    payload = {
-        "environment": report.environment,
-        "seed": report.seed,
-        "cells": [asdict(cell) for cell in report.cells],
-    }
-    with open(json_path, "w") as f:
-        json.dump(payload, f, indent=1)
-        f.write("\n")
+    write_json(
+        {
+            "environment": report.environment,
+            "seed": report.seed,
+            "cells": [asdict(cell) for cell in report.cells],
+        },
+        json_path,
+    )
     with open(csv_path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(
-            [
-                "method", "n_samples", "p", "m", "c",
-                "wall_time_s", "classical_patterns", "graph_bound_patterns", "outcome",
-            ]
-        )
+        writer.writerow([field.name for field in fields(TimingCell)])
         for cell in report.cells:
-            writer.writerow(
-                [
-                    cell.method,
-                    cell.n_samples,
-                    cell.p,
-                    cell.m,
-                    cell.c,
-                    "" if cell.wall_time_s is None else repr(cell.wall_time_s),
-                    cell.classical_patterns,
-                    cell.graph_bound_patterns,
-                    cell.outcome,
-                ]
-            )
+            writer.writerow(["" if v is None else v for v in astuple(cell)])
 
 
 def write_ensemble_report(
     report: EnsembleReport, json_path: str | Path, csv_path: str | Path
 ) -> None:
-    payload = {
-        "label": report.label,
-        "realizations": report.realizations,
-        "seed": report.seed,
-        "config": report.config,
-        "summary": report.summary,
-        "curves": [curve_to_json(c) for c in report.curves],
-    }
-    with open(json_path, "w") as f:
-        json.dump(payload, f, indent=1)
-        f.write("\n")
+    write_json(
+        {
+            "label": report.label,
+            "realizations": report.realizations,
+            "seed": report.seed,
+            "config": report.config,
+            "summary": report.summary,
+            "curves": [curve_to_json(c) for c in report.curves],
+        },
+        json_path,
+    )
     write_curves_csv(report.curves, csv_path)

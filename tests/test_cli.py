@@ -328,3 +328,37 @@ def test_ensemble_graph_compare_small(tmp_path, capsys):
     assert [c["method"] for c in payload["curves"]] == ["theoretical", "estimated"]
     diffs = payload["summary"]["mean_abs_diff_per_scale"]
     assert len(diffs) == 2 and all(d >= 0.0 for d in diffs)
+
+
+# ── edge formats ─────────────────────────────────────────────────────────────
+
+
+def test_generate_sidecar_bytes_are_indent_1_json(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    assert run("generate", "--kind", "wgn", "--p", "2", "--n", "20", "--seed", "4", "--out", str(out)) == 0
+    raw = (tmp_path / "s.csv.json").read_text()
+    obj = json.loads(raw)
+    assert raw == json.dumps(obj, indent=1) + "\n"
+    assert list(obj) == [
+        "kind", "p", "n_samples", "seed", "params", "generator_version", "package"
+    ]
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("graph", "--kind"), ("entropy", "--graph")],
+)
+def test_gaussian_usage_error_names_the_flag_given(tmp_path, capsys, command, flag):
+    sig = tmp_path / "s.csv"
+    write_golden_signal(sig)
+    coords = tmp_path / "st.csv"
+    coords.write_text("station_id,x,y\na,0.0,0.0\n")
+    inputs = ("--input", str(sig)) if command == "entropy" else ()
+    code = run(
+        command, *inputs, flag, "gaussian", "--coords", str(coords),
+        "--sigma1-sq", "0.5", "--out", str(tmp_path / "o"),
+    )
+    assert code == 1
+    assert capsys.readouterr().err.endswith(
+        f"mvdeg: error: {flag} gaussian requires --coords, --sigma1-sq and --sigma2\n"
+    )

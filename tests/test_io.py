@@ -1,6 +1,7 @@
 """File formats: round-trips are exact and malformed input names its position."""
 
 import csv
+import dataclasses
 import json
 import math
 
@@ -314,3 +315,21 @@ def test_ensemble_report_files(tmp_path):
         rows = list(csv.reader(f))
     assert rows[0] == list(CURVE_CSV_HEADER)
     assert len(rows) == 3
+
+
+def test_timing_csv_bytes_with_a_refused_cell(tmp_path):
+    report = run_timing_sweep(
+        (30,), p=2, m=2, c=3, seed=0, pattern_cap=100, repetitions=1, warmup=0
+    )
+    # pin the one measured wall time so the whole file is deterministic
+    cells = tuple(
+        cell if cell.wall_time_s is None else dataclasses.replace(cell, wall_time_s=0.125)
+        for cell in report.cells
+    )
+    csv_path = tmp_path / "timing.csv"
+    write_timing_report(dataclasses.replace(report, cells=cells), tmp_path / "t.json", csv_path)
+    assert csv_path.read_bytes() == (
+        b"method,n_samples,p,m,c,wall_time_s,classical_patterns,graph_bound_patterns,outcome\r\n"
+        b"mvdeg,30,2,2,3,0.125,174,56,ok\r\n"
+        b"classical,30,2,2,3,,174,56,refused-capacity\r\n"
+    )

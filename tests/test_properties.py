@@ -39,6 +39,20 @@ from mvdeg.cli import main
 
 EXAMPLES = settings(max_examples=200, deadline=None)
 
+# every public entry point that takes (m, c), called as entry(c, m)
+ENTRY_POINTS = {
+    "mvdeg_single_scale":
+        lambda c, m: mvdeg_single_scale(gen_wgn(2, 50, 0), build_zero_graph(2), m, c),
+    "univariate_single_scale":
+        lambda c, m: univariate_single_scale(gen_wgn(1, 50, 0).values[0], m, c),
+    "classical_mvde": lambda c, m: classical_mvde(gen_wgn(2, 50, 0), m, c),
+    "from_class_rows":
+        lambda c, m: DispersionHistogram.from_class_rows(np.ones((3, m), dtype=np.int64), m, c),
+    "EmbeddingConfig": lambda c, m: EmbeddingConfig(m=m, c=c),
+}
+# from_class_rows checks only the code range, not m >= 2 and c >= 2
+EMBEDDING_ENTRY_POINTS = {k: v for k, v in ENTRY_POINTS.items() if k != "from_class_rows"}
+
 
 @st.composite
 def channel_graphs(draw, p):
@@ -246,18 +260,7 @@ def test_classical_mvde_counts_every_subset_pattern(seed, p, n, m, c):
     assert list(hist.counts) == sorted(expected)
 
 
-@pytest.mark.parametrize(
-    "entry",
-    [
-        lambda c, m: mvdeg_single_scale(gen_wgn(2, 50, 0), build_zero_graph(2), m, c),
-        lambda c, m: univariate_single_scale(gen_wgn(1, 50, 0).values[0], m, c),
-        lambda c, m: classical_mvde(gen_wgn(2, 50, 0), m, c),
-        lambda c, m: DispersionHistogram.from_class_rows(np.ones((3, m), dtype=np.int64), m, c),
-        lambda c, m: EmbeddingConfig(m=m, c=c),
-    ],
-    ids=["mvdeg_single_scale", "univariate_single_scale", "classical_mvde", "from_class_rows",
-         "EmbeddingConfig"],
-)
+@pytest.mark.parametrize("entry", list(ENTRY_POINTS.values()), ids=list(ENTRY_POINTS))
 def test_pattern_codes_that_would_wrap_int64_are_refused(entry):
     # 5e9^2 > 2^62: base-c codes of such patterns wrap int64
     with pytest.raises(DimensionError):
@@ -332,14 +335,7 @@ def test_positive_gain_and_offset_per_channel_keep_the_histogram(case, m, c, dat
 
 
 @pytest.mark.parametrize(
-    "entry",
-    [
-        lambda c, m: mvdeg_single_scale(gen_wgn(2, 50, 0), build_zero_graph(2), m, c),
-        lambda c, m: univariate_single_scale(gen_wgn(1, 50, 0).values[0], m, c),
-        lambda c, m: classical_mvde(gen_wgn(2, 50, 0), m, c),
-        lambda c, m: EmbeddingConfig(m=m, c=c),
-    ],
-    ids=["mvdeg_single_scale", "univariate_single_scale", "classical_mvde", "EmbeddingConfig"],
+    "entry", list(EMBEDDING_ENTRY_POINTS.values()), ids=list(EMBEDDING_ENTRY_POINTS)
 )
 @pytest.mark.parametrize("c, m", [(6, -1), (6, 0), (6, 1), (1, 4), (0, 4)])
 def test_embedding_below_m_2_or_c_2_is_refused(entry, c, m):
