@@ -30,7 +30,7 @@ from .errors import (
     ScaleUndefinedError,
 )
 from .graphs import WeightedGraph, build_zero_graph
-from .kron import build_hop_basis
+from .kron import _hop_columns
 from .signal import MultivariateSignal
 
 PATTERN_CAP = 10 ** 8  # refuse classical enumeration beyond this many patterns
@@ -201,12 +201,16 @@ def _standardize(values: np.ndarray) -> np.ndarray:
 
 
 def _classes_from_z(z: np.ndarray, c: int) -> np.ndarray:
-    """Map z-scores through the normal CDF onto integer classes 1..c.
+    """Map z-scores through the normal CDF onto int64 classes 1..c, overwriting z.
 
-    round(c * Phi(z) + 0.5) with ties away from zero; the argument is always
-    positive, so that is floor(c * Phi(z) + 1).
+    round(c * Phi(z) + 0.5) with ties away from zero is floor(c * Phi(z) + 1),
+    capped at c where Phi(z) = 1. The class edges are those of scipy's ndtr,
+    which is not monotone within one ulp of some of them.
     """
-    return np.floor(c * ndtr(z) + 1.0).clip(1, c).astype(np.int64)
+    ndtr(z, out=z)
+    z *= c
+    z += 1.0
+    return np.minimum(np.floor(z, out=z), c, out=z).astype(np.int64)
 
 
 def _encode_patterns(rows: np.ndarray, c: int) -> np.ndarray:
@@ -303,25 +307,23 @@ def mvdeg_single_scale(
 ) -> tuple[float, DispersionHistogram]:
     """Graph-based multivariate dispersion entropy at the signal's native scale.
 
-    Channels are standardized, aggregated through hop columns 0..m-1 of the
-    time-path / channel-graph product, and class-mapped; each (time, channel)
-    vertex whose m-1 hop horizon stays on the time axis contributes one
-    pattern. Returns the normalized entropy and the pattern histogram.
+    Each hop column 0..m-1 of the standardized channels is class-mapped and
+    folded into base-c pattern codes as soon as it is made, one code per (time,
+    channel) vertex whose m-1 hop horizon stays on the time axis. Returns the
+    normalized entropy and the pattern histogram.
     """
     _check_embedding(m, c)
-    if signal.p != graph.n:
-        raise DimensionError(
-            f"signal has {signal.p} channels but graph has {graph.n} vertices"
-        )
-    rows = (signal.n_samples - m + 1) * signal.p
-    if rows <= 0:
+    n_rows = signal.n_samples - m + 1
+    if n_rows <= 0:
         raise EmptyPatternError(
             f"no embedding rows survive masking (N={signal.n_samples}, m={m})"
         )
-    z = MultivariateSignal(_standardize(signal.values), labels=signal.labels)
-    basis = build_hop_basis(z, graph, m)
-    classes = _classes_from_z(basis.values[:rows], c)
-    histogram = DispersionHistogram.from_class_rows(classes, m=m, c=c)
+    code = np.zeros(n_rows * signal.p, dtype=np.int64)
+    for column in _hop_columns(_standardize(signal.values).T, graph.weights, m):
+        code *= c
+        code += _classes_from_z(column[:n_rows], c).ravel()
+        code -= 1
+    histogram = DispersionHistogram._from_codes([code], m, c)
     return normalized_entropy(histogram), histogram
 
 

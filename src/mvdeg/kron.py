@@ -8,10 +8,10 @@ where (x) is the Kronecker product, shift is the one-step successor matrix of
 the directed path on N time vertices, and W is the channel graph. Hop column k
 of the embedding is A^k x / A^k 1, built from column k-1 by A^k = A A^(k-1):
 one time shift and one (N, p) x (p, p) product, so O(N p^2) per column and
-O(m N p^2) per m-column basis, never an (N p)^2 matrix. The summands commute,
-so A^k = sum_j C(k, j) * shift^j (x) W^(k-j) too; that binomial expansion
-survives only in the dense oracles (product_power_terms, product_adjacency,
-naive_power) that the fast path is checked against.
+no (N p)^2 matrix. Production holds no (N p, m) basis either: _hop_columns
+yields each column as it is made, for the entropy pipeline to fold into
+codes; build_hop_basis, HopBasis and apply_hop stack it as a view for tests.
+The binomial expansion of A^k lives only in the dense oracles below.
 
 Stacked layout: entry (t * p) + ch of a vector is channel ch at time t, so a
 Kronecker factor acting on the left index is the time axis and the right index
@@ -20,6 +20,7 @@ is the channel axis.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from math import comb, frexp, ldexp
 
@@ -49,11 +50,7 @@ class PathShift:
             raise DimensionError(f"hop order must be >= 0, got {self.k}")
 
     def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.n, self.n))
-        if self.k < self.n:
-            idx = np.arange(self.n - self.k)
-            out[idx, idx + self.k] = 1.0
-        return out
+        return np.eye(self.n, k=self.k)
 
 
 def path_power(n: int, k: int) -> PathShift:
@@ -139,26 +136,29 @@ def naive_power(matrix: np.ndarray, k: int, dense_cap: int = DENSE_CAP) -> np.nd
 _ROW_SUM_FLOOR = 2.0 ** -958
 
 
-def _hop_columns(time_major: np.ndarray, weights: np.ndarray, m: int) -> np.ndarray:
-    """(N, p, m) hop columns A^k x / A^k 1 of time-major (N, p) samples.
+def _hop_columns(time_major: np.ndarray, weights: np.ndarray, m: int) -> Iterator[np.ndarray]:
+    """Yield hop columns k = 0 .. min(m, N) - 1 of time-major (N, p) samples.
 
-    Entries past the horizon, t + k > N - 1, are 0. Inside it, with u_0 = x
-    and r_0 = 1, each column takes one step
+    Column k is a fresh (N - k, p) array A^k x / A^k 1 over the times whose
+    horizon t + k stays on the time axis. With u_0 = x and r_0 = 1, each step
 
         u_k[t] = u_(k-1)[t + 1] + W u_(k-1)[t],    r_k = (I + W) r_(k-1)
 
     where r_k is the per-channel row sum of A^k. Both are divided by the same
-    power of two each step, which keeps r below 1 and u / r unchanged.
-    Raises FloatRangeError on overflow or a row sum below _ROW_SUM_FLOOR.
+    power of two each step, which keeps r below 1 and u / r unchanged. Raises
+    DimensionError unless W is (p, p), and FloatRangeError on overflow or a
+    row sum below _ROW_SUM_FLOOR. Float warnings are muted inside each step
+    only, so the caller's numpy error state holds between yields.
     """
     n, p = time_major.shape
-    out = np.zeros((n, p, m))
+    if weights.shape[0] != p:
+        raise DimensionError(f"signal has {p} channels but graph has {weights.shape[0]} vertices")
     u = np.ascontiguousarray(time_major)
-    out[:, :, 0] = u
+    yield u.copy()
     grow = np.eye(p) + weights
     r = np.ones(p)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, min(m, n)):
+    for k in range(1, min(m, n)):
+        with np.errstate(over="ignore", invalid="ignore"):
             r = grow @ r
             if not np.isfinite(r).all():
                 raise FloatRangeError(f"row sums of hop column {k} overflow float64")
@@ -172,8 +172,8 @@ def _hop_columns(time_major: np.ndarray, weights: np.ndarray, m: int) -> np.ndar
             if not np.isfinite(step).all():
                 raise FloatRangeError(f"hop column {k} overflows float64")
             u = step
-            np.divide(u, r, out=out[: n - k, :, k])
-    return out
+            column = u / r
+        yield column
 
 
 def apply_hop(
@@ -219,12 +219,10 @@ class HopBasis:
 
 
 def build_hop_basis(signal: MultivariateSignal, graph: WeightedGraph, m: int) -> HopBasis:
-    """Stack hop aggregates for k = 0 .. m-1 into an (N p, m) matrix in one pass."""
+    """Stack hop columns k = 0 .. m-1 into an (N p, m) matrix; columns past the horizon are 0."""
     if m < 1:
         raise DimensionError(f"embedding needs m >= 1 columns, got {m}")
-    if signal.p != graph.n:
-        raise DimensionError(
-            f"signal has {signal.p} channels but graph has {graph.n} vertices"
-        )
-    values = _hop_columns(signal.values.T, graph.weights, m)
-    return HopBasis(values=values.reshape(-1, m), n_time=signal.n_samples, graph=graph)
+    values = np.zeros((signal.n_samples * signal.p, m))
+    for k, column in enumerate(_hop_columns(signal.values.T, graph.weights, m)):
+        values[: column.size, k] = column.ravel()
+    return HopBasis(values=values, n_time=signal.n_samples, graph=graph)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr, ndtri
 
 from mvdeg import (
     CapacityError,
@@ -36,6 +37,7 @@ from mvdeg import (
     write_signal_csv,
 )
 from mvdeg.cli import main
+from mvdeg.entropy import _classes_from_z, _standardize
 
 EXAMPLES = settings(max_examples=200, deadline=None)
 
@@ -357,3 +359,46 @@ def test_classical_curve_is_classical_mvde_per_scale():
         assert math.isnan(record.mean)
     with pytest.raises(CapacityError):
         classical_mvde_curve(signal, EmbeddingConfig(m=2, c=3, max_scale=12), pattern_cap=10)
+
+
+# ── streamed pattern codes against the whole-basis path ─────────────────────
+
+
+def basis_class_map(z, c):
+    """The class map as the whole-basis path applied it, on a copy of z."""
+    return np.floor(c * ndtr(z) + 1.0).clip(1, c).astype(np.int64)
+
+
+@st.composite
+def embeddings(draw):
+    """(m, c) with c^m below 2^62, reaching codes above 2^53 for large m."""
+    m = draw(st.integers(2, 12))
+    c = draw(st.integers(2, min(10 ** 6, math.floor(2 ** (61 / m)))))
+    return m, c
+
+
+@EXAMPLES
+@given(signals_and_graphs(min_n=12, max_n=60, max_p=5), embeddings())
+def test_streamed_histogram_equals_the_whole_basis_oracle(case, embedding):
+    signal, graph = case
+    m, c = embedding
+    value, hist = mvdeg_single_scale(signal, graph, m, c)
+    z = MultivariateSignal(_standardize(signal.values))
+    rows = (signal.n_samples - m + 1) * signal.p
+    classes = basis_class_map(build_hop_basis(z, graph, m).values[:rows], c)
+    oracle = DispersionHistogram.from_class_rows(classes, m, c)
+    assert hist == oracle
+    assert value.hex() == normalized_entropy(oracle).hex()
+
+
+def test_class_map_matches_the_whole_basis_map_at_every_class_edge():
+    # ndtr is not monotone within one ulp of some edges (c = 5 near
+    # z = -0.8416), so the in-place map must round exactly as the old one did
+    for c in range(2, 65):
+        edge = ndtri(np.arange(1, c) / c)
+        up, down, zs = edge, edge, [edge]
+        for _ in range(64):
+            up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+            zs += [up, down]
+        z = np.concatenate(zs + [np.array([-np.inf, -40.0, 0.0, 40.0, np.inf])])
+        assert np.array_equal(_classes_from_z(z.copy(), c), basis_class_map(z, c))

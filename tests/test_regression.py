@@ -1,0 +1,84 @@
+"""Regression pins of the graph-based single-scale pipeline: exact outputs and peak memory."""
+
+import hashlib
+import tracemalloc
+
+import pytest
+
+from mvdeg import (
+    build_complete_graph,
+    build_zero_graph,
+    coarse_grain,
+    estimate_correlation_graph,
+    gen_correlated,
+    gen_wgn,
+    mvdeg_single_scale,
+    uniform_correlation,
+)
+
+# (p, N, m, c, graph, tau) -> (entropy as float.hex, distinct codes, patterns,
+# first 16 hex digits of sha256 over the little-endian int64 codes then counts),
+# computed by classing and encoding the whole (N p, m) hop basis at once. The
+# cells reach every counting branch: c^m = 1296 is counted by bincount,
+# 40^5 < 2^53 and 30^11 > 2^53 by np.unique.
+GOLDEN = {
+    (3, 15_000, 4, 6, "correlation", 1): ("0x1.a5f1378829c1ap-1", 809, 44991, "a5605e8d85049206"),
+    (3, 15_000, 4, 6, "correlation", 2): ("0x1.a5e68a973e8d6p-1", 753, 22491, "19568a4491669a71"),
+    (3, 15_000, 4, 6, "correlation", 7): ("0x1.a21681fb6ea60p-1", 604, 6417, "32d6e8e337ca7dbd"),
+    (3, 15_000, 4, 6, "complete", 1): ("0x1.8289032285c41p-1", 584, 44991, "9c2beb503537c2ad"),
+    (3, 15_000, 4, 6, "complete", 2): ("0x1.8290cf18e9f0fp-1", 521, 22491, "50d311ae838ac666"),
+    (3, 15_000, 4, 6, "complete", 7): ("0x1.80e37460690dcp-1", 438, 6417, "a3843e8f7b3bf082"),
+    (3, 15_000, 4, 6, "zero", 1): ("0x1.fef7adb0709a7p-1", 1296, 44991, "1b02bc75cd776dda"),
+    (3, 15_000, 4, 6, "zero", 2): ("0x1.fdf91d981409fp-1", 1296, 22491, "4120a04cb727999c"),
+    (3, 15_000, 4, 6, "zero", 7): ("0x1.f8c6ea7fbbda2p-1", 1289, 6417, "64ab3c215aa46971"),
+    (4, 3_000, 5, 40, "correlation", 1): ("0x1.048307c0af06ep-1", 11927, 11984, "7a24b107c9e07976"),
+    (4, 3_000, 5, 40, "correlation", 2): ("0x1.e2be4556c99f3p-2", 5977, 5984, "2abe2ad4f1b64f9a"),
+    (4, 3_000, 5, 40, "correlation", 7): ("0x1.9cca2398c7819p-2", 1695, 1696, "e7055cd8fe6cc60a"),
+    (4, 3_000, 5, 40, "complete", 1): ("0x1.0409f89b7affcp-1", 11782, 11984, "b0f6962e21c5fe01"),
+    (4, 3_000, 5, 40, "complete", 2): ("0x1.e22039d660890p-2", 5929, 5984, "3fe01d874e2f237f"),
+    (4, 3_000, 5, 40, "complete", 7): ("0x1.9c619558a8a08p-2", 1686, 1696, "6b82b69ebf8a18c7"),
+    (4, 3_000, 5, 40, "zero", 1): ("0x1.04b03e3d7ab80p-1", 11982, 11984, "ef8ae10afd606043"),
+    (4, 3_000, 5, 40, "zero", 2): ("0x1.e2d551aed8f27p-2", 5984, 5984, "44fa3053e834be10"),
+    (4, 3_000, 5, 40, "zero", 7): ("0x1.9cd5c19fe761cp-2", 1696, 1696, "fb6e77cf8a603347"),
+    (3, 2_000, 11, 30, "correlation", 1): ("0x1.dbf010617fa29p-3", 5970, 5970, "8f510025a432d907"),
+    (3, 2_000, 11, 30, "correlation", 2): ("0x1.b5b8138c9bcaap-3", 2970, 2970, "33c3ccbe5e3580ac"),
+    (3, 2_000, 11, 30, "correlation", 7): ("0x1.6f99c2aa09c6dp-3", 825, 825, "8f7f8d2abbaecce5"),
+    (3, 2_000, 11, 30, "complete", 1): ("0x1.dbe98e4c65e33p-3", 5968, 5970, "9a300e21ac24ed02"),
+    (3, 2_000, 11, 30, "complete", 2): ("0x1.b5b8138c9bcaap-3", 2970, 2970, "d7afb845c43aa107"),
+    (3, 2_000, 11, 30, "complete", 7): ("0x1.6f99c2aa09c6dp-3", 825, 825, "62672c0e4271c37d"),
+    (3, 2_000, 11, 30, "zero", 1): ("0x1.dbf010617fa29p-3", 5970, 5970, "99b6d004093a1c62"),
+    (3, 2_000, 11, 30, "zero", 2): ("0x1.b5b8138c9bcaap-3", 2970, 2970, "a5fbb9aba87da1a3"),
+    (3, 2_000, 11, 30, "zero", 7): ("0x1.6f99c2aa09c6dp-3", 825, 825, "8a41bbdcf2aebe65"),
+}
+
+
+@pytest.mark.parametrize("case", list(GOLDEN), ids=lambda case: "-".join(map(str, case)))
+def test_single_scale_is_bit_identical_to_the_whole_basis_path(case):
+    p, n, m, c, graph_name, tau = case
+    signal = gen_correlated(p, n, uniform_correlation(p, 0.5), seed=p + n)
+    graph = {
+        "correlation": estimate_correlation_graph,
+        "complete": lambda s: build_complete_graph(s.p),
+        "zero": lambda s: build_zero_graph(s.p),
+    }[graph_name](signal)
+    value, hist = mvdeg_single_scale(coarse_grain(signal, tau), graph, m, c)
+    digest = hashlib.sha256(
+        hist.codes.astype("<i8").tobytes() + hist.code_counts.astype("<i8").tobytes()
+    ).hexdigest()[:16]
+    assert (value.hex(), len(hist.codes), hist.total, digest) == GOLDEN[case]
+
+
+def test_single_scale_peak_memory_does_not_grow_with_m():
+    # an (N p, m) float basis plus its class matrix alone is 2m = 12 signal
+    # sizes at m = 6; the streamed kernel holds a few (N, p) arrays at once
+    signal = gen_wgn(32, 20_000, 0)
+    graph = build_complete_graph(32)
+    mvdeg_single_scale(signal, graph, 6, 6)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        mvdeg_single_scale(signal, graph, 6, 6)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * signal.values.nbytes
