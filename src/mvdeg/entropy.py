@@ -15,7 +15,9 @@ only in how patterns are extracted:
 from __future__ import annotations
 
 import math
+import os
 from collections.abc import Callable, ItemsView, Iterable, Iterator, Mapping
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import chain, combinations
 
@@ -34,6 +36,11 @@ from .kron import _hop_columns
 from .signal import MultivariateSignal
 
 PATTERN_CAP = 10 ** 8  # refuse classical enumeration beyond this many patterns
+# mvdeg_single_scale streams time in chunks of about _CHUNK_ELEMENTS samples
+# over all channels, never fewer than _CHUNK_MIN_ROWS rows: from there up,
+# OpenBLAS (rows, p) x (p, p) products match the whole product bit for bit.
+_CHUNK_ELEMENTS = 2 ** 18
+_CHUNK_MIN_ROWS = 4096
 
 # ── configuration and result records ────────────────────────────────────────
 
@@ -104,8 +111,9 @@ class DispersionHistogram:
 
     @classmethod
     def _from_codes(cls, chunks: Iterable[np.ndarray], m: int, c: int) -> "DispersionHistogram":
-        """Count base-c codes over equal-length chunks: bincount when c^m <= 2^24 and at most
-        twice the chunk length, else merged per-chunk np.unique (cheaper for sparse codes)."""
+        """Count base-c codes over chunks of about equal length: bincount when c^m <= 2^24 and
+        at most twice the first chunk's length, else merged per-chunk np.unique (cheaper for
+        sparse codes)."""
         chunks = iter(chunks)
         first, space = next(chunks), c ** m
         if space <= min(2 ** 24, 2 * len(first)):
@@ -191,10 +199,20 @@ class EntropyCurve:
 # ── shared numeric steps ─────────────────────────────────────────────────────
 
 
-def _standardize(values: np.ndarray) -> np.ndarray:
-    """Per-channel z-scores (sd with denominator N-1); constant channels map to 0."""
-    mu = values.mean(axis=1, keepdims=True)
-    sd = values.std(axis=1, ddof=1, keepdims=True)
+def _moments(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-channel mean and sd (denominator N-1) of (p, N) samples, as (p, 1) columns."""
+    return values.mean(axis=1, keepdims=True), values.std(axis=1, ddof=1, keepdims=True)
+
+
+def _standardize(
+    values: np.ndarray, moments: tuple[np.ndarray, np.ndarray] | None = None
+) -> np.ndarray:
+    """Per-channel z-scores (sd with denominator N-1); constant channels map to 0.
+
+    moments defaults to _moments(values); a time slice passes the whole
+    signal's, and gets the same values as the slice of the whole z-scores.
+    """
+    mu, sd = _moments(values) if moments is None else moments
     out = np.zeros_like(values)
     np.divide(values - mu, sd, out=out, where=sd > 0)
     return out
@@ -291,15 +309,26 @@ def _curve(
     """Entropy versus scale: entropy_at(tau) at each tau = 1..max_scale.
 
     A scale whose coarse-grained length n_samples // tau drops below m+1 is
-    recorded as undefined rather than skipped.
+    recorded as undefined rather than skipped. The defined scales share
+    nothing, so they run on a thread pool with one worker per CPU the process
+    may run on (at most one per scale), largest scale (tau = 1) first. Results
+    are taken in tau order, so the first error in tau order propagates, as
+    from a serial loop, and no value depends on the worker count.
     """
-    records = []
-    for tau in range(1, config.max_scale + 1):
-        if n_samples // tau < config.m + 1:
-            records.append(ScaleRecord(tau, math.nan, math.nan, 0, False))
-        else:
-            records.append(ScaleRecord(tau, entropy_at(tau), 0.0, 1, True))
-    return EntropyCurve(method, tuple(records), config.m, config.c, graph)
+    scales = range(1, config.max_scale + 1)
+    defined = [tau for tau in scales if n_samples // tau >= config.m + 1]
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        cpus = os.cpu_count() or 1
+    with ThreadPoolExecutor(max(1, min(cpus, len(defined)))) as pool:
+        means = dict(zip(defined, pool.map(entropy_at, defined)))
+    records = tuple(
+        ScaleRecord(tau, means[tau], 0.0, 1, True) if tau in means
+        else ScaleRecord(tau, math.nan, math.nan, 0, False)
+        for tau in scales
+    )
+    return EntropyCurve(method, records, config.m, config.c, graph)
 
 
 def mvdeg_single_scale(
@@ -307,24 +336,45 @@ def mvdeg_single_scale(
 ) -> tuple[float, DispersionHistogram]:
     """Graph-based multivariate dispersion entropy at the signal's native scale.
 
-    Each hop column 0..m-1 of the standardized channels is class-mapped and
-    folded into base-c pattern codes as soon as it is made, one code per (time,
-    channel) vertex whose m-1 hop horizon stays on the time axis. Returns the
-    normalized entropy and the pattern histogram.
+    One code per (time, channel) vertex whose m-1 hop horizon stays on the
+    time axis. The rows of those vertices stream in time chunks (_time_chunks):
+    each chunk's samples, with the m-1 that follow it, are standardized by the
+    whole signal's moments, each hop column 0..m-1 over them is class-mapped
+    and folded into the chunk's base-c codes as soon as it is made, and the
+    chunk's codes are counted before the next chunk starts. So a call holds a
+    few chunk-sized arrays, never a signal-sized one beyond the moments pass.
+    Returns the normalized entropy and the pattern histogram.
     """
     _check_embedding(m, c)
+    values, p = signal.values, signal.p
     n_rows = signal.n_samples - m + 1
     if n_rows <= 0:
         raise EmptyPatternError(
             f"no embedding rows survive masking (N={signal.n_samples}, m={m})"
         )
-    code = np.zeros(n_rows * signal.p, dtype=np.int64)
-    for column in _hop_columns(_standardize(signal.values).T, graph.weights, m):
-        code *= c
-        code += _classes_from_z(column[:n_rows], c).ravel()
-        code -= 1
-    histogram = DispersionHistogram._from_codes([code], m, c)
+    moments = _moments(values)
+
+    def chunk_codes():
+        for start, end in _time_chunks(n_rows, p):
+            z = _standardize(values[:, start : end + m - 1], moments)
+            code = np.zeros((end - start) * p, dtype=np.int64)
+            for column in _hop_columns(z.T, graph.weights, m):
+                code *= c
+                code += _classes_from_z(column[: end - start], c).ravel()
+                code -= 1
+            yield code
+
+    histogram = DispersionHistogram._from_codes(chunk_codes(), m, c)
     return normalized_entropy(histogram), histogram
+
+
+def _time_chunks(n_rows: int, p: int) -> list[tuple[int, int]]:
+    """Split rows [0, n_rows) evenly into [start, end) chunks, sizes differing by
+    at most one: about _CHUNK_ELEMENTS samples each, and at least _CHUNK_MIN_ROWS
+    rows each unless n_rows itself is smaller."""
+    count = max(1, min(n_rows // _CHUNK_MIN_ROWS, n_rows * p // _CHUNK_ELEMENTS))
+    edges = [i * n_rows // count for i in range(count + 1)]
+    return list(zip(edges[:-1], edges[1:]))
 
 
 def mvdeg_curve(
@@ -417,7 +467,11 @@ def classical_mvde_curve(
 def univariate_single_scale(
     channel: np.ndarray, m: int, c: int
 ) -> tuple[float, DispersionHistogram]:
-    """Univariate dispersion entropy of one 1-D series via sliding windows."""
+    """Univariate dispersion entropy of one 1-D series via sliding windows.
+
+    Window t's base-c code is folded from the shifted class slices
+    classes[t + k], k = 0..m-1, so no (R, m) window array is built.
+    """
     x = np.asarray(channel, dtype=float)
     if x.ndim != 1:
         raise DimensionError(f"expected a 1-D channel, got shape {x.shape}")
@@ -425,8 +479,13 @@ def univariate_single_scale(
     if x.size < m + 1:
         raise DimensionError(f"need more than m={m} samples, got {x.size}")
     classes = ncdf_map(MultivariateSignal(x[None, :]), c)[0]
-    windows = sliding_window_view(classes, m)
-    histogram = DispersionHistogram.from_class_rows(np.ascontiguousarray(windows), m, c)
+    n_rows = x.size - m + 1
+    code = classes[:n_rows] - 1
+    for k in range(1, m):
+        code *= c
+        code += classes[k : k + n_rows]
+        code -= 1
+    histogram = DispersionHistogram._from_codes([code], m, c)
     return normalized_entropy(histogram), histogram
 
 

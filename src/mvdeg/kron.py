@@ -9,8 +9,15 @@ the directed path on N time vertices, and W is the channel graph. Hop column k
 of the embedding is A^k x / A^k 1, built from column k-1 by A^k = A A^(k-1):
 one time shift and one (N, p) x (p, p) product, so O(N p^2) per column and
 no (N p)^2 matrix. Production holds no (N p, m) basis either: _hop_columns
-yields each column as it is made, for the entropy pipeline to fold into
-codes; build_hop_basis, HopBasis and apply_hop stack it as a view for tests.
+yields each column as it is made, and mvdeg_single_scale runs it over one
+time chunk at a time (the chunk's rows plus the m-1 that follow) and folds
+each column into the chunk's codes, so its arrays are chunk-sized. A row's
+hop values depend only on the samples at and after it, and the per-step
+rescale only on W, so a chunk's columns are the whole signal's rows, bit for
+bit once the chunk is long enough for BLAS to round its (rows, p) x (p, p)
+product as it rounds the whole one (entropy._CHUNK_MIN_ROWS).
+build_hop_basis, HopBasis and apply_hop stack the whole columns as a view
+for tests.
 The binomial expansion of A^k lives only in the dense oracles below.
 
 Stacked layout: entry (t * p) + ch of a vector is channel ch at time t, so a

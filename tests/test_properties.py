@@ -37,7 +37,15 @@ from mvdeg import (
     write_signal_csv,
 )
 from mvdeg.cli import main
-from mvdeg.entropy import _classes_from_z, _standardize
+from mvdeg.entropy import (
+    _CHUNK_ELEMENTS,
+    _CHUNK_MIN_ROWS,
+    _classes_from_z,
+    _moments,
+    _standardize,
+    _time_chunks,
+)
+from mvdeg.kron import _hop_columns
 
 EXAMPLES = settings(max_examples=200, deadline=None)
 
@@ -402,3 +410,100 @@ def test_class_map_matches_the_whole_basis_map_at_every_class_edge():
             zs += [up, down]
         z = np.concatenate(zs + [np.array([-np.inf, -40.0, 0.0, 40.0, np.inf])])
         assert np.array_equal(_classes_from_z(z.copy(), c), basis_class_map(z, c))
+
+
+# ── time chunks against the whole-basis path ────────────────────────────────
+
+
+def whole_basis_oracle(signal, graph, m, c):
+    """(entropy, histogram) from classing the whole (N p, m) hop basis at once."""
+    z = MultivariateSignal(_standardize(signal.values))
+    rows = (signal.n_samples - m + 1) * signal.p
+    classes = basis_class_map(build_hop_basis(z, graph, m).values[:rows], c)
+    oracle = DispersionHistogram.from_class_rows(classes, m, c)
+    return normalized_entropy(oracle), oracle
+
+
+def rows_in_chunks(p, chunks):
+    """A pattern-row count that _time_chunks splits into `chunks` chunks, unevenly when
+    there are several."""
+    per_chunk = max(_CHUNK_MIN_ROWS, -(-_CHUNK_ELEMENTS // p))
+    n_rows = per_chunk + per_chunk // 2 if chunks == 1 else chunks * per_chunk + chunks - 1
+    bounds = _time_chunks(n_rows, p)
+    sizes = {end - start for start, end in bounds}
+    assert len(bounds) == chunks and min(sizes) >= _CHUNK_MIN_ROWS
+    assert bounds[0][0] == 0 and bounds[-1][1] == n_rows
+    assert len(sizes) == (1 if chunks == 1 else 2)
+    return n_rows
+
+
+def random_graph(p, seed):
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.0, 2.0, (p, p))
+    return WeightedGraph(w + w.T)
+
+
+@pytest.mark.parametrize("chunks", [1, 2, 3])
+@pytest.mark.parametrize("m", [2, 4, 6])
+@pytest.mark.parametrize("p", [1, 3, 32, 64])
+def test_time_chunks_equal_the_whole_basis_oracle(p, m, chunks):
+    n = rows_in_chunks(p, chunks) + m - 1
+    signal = gen_wgn(p, n, seed=p * 100 + m * 10 + chunks)
+    graph = random_graph(p, seed=p)
+    value, hist = mvdeg_single_scale(signal, graph, m, 6)
+    want_value, want = whole_basis_oracle(signal, graph, m, 6)
+    assert hist == want
+    assert value.hex() == want_value.hex()
+
+
+@pytest.mark.parametrize("p, m, c", [(32, 4, 40), (3, 5, 3000)])
+def test_time_chunks_merge_sparse_codes_like_the_whole_basis_oracle(p, m, c):
+    # c^m is above twice a chunk's codes, so each chunk is counted by
+    # np.unique and the counts merged; 3000^5 also puts codes above 2^53
+    n = rows_in_chunks(p, 3) + m - 1
+    signal = gen_wgn(p, n, seed=c)
+    graph = random_graph(p, seed=c)
+    value, hist = mvdeg_single_scale(signal, graph, m, c)
+    want_value, want = whole_basis_oracle(signal, graph, m, c)
+    assert hist == want
+    assert value.hex() == want_value.hex()
+
+
+@pytest.mark.parametrize("chunks", [2, 3])
+@pytest.mark.parametrize("m", [2, 4, 6])
+@pytest.mark.parametrize("p", [1, 3, 32, 64])
+def test_time_chunk_hop_columns_equal_the_whole_columns_bitwise(p, m, chunks):
+    # one ulp of difference rarely moves a class, so compare the floats: BLAS
+    # products of a few rows differ from the whole product in the last bit
+    n_rows = rows_in_chunks(p, chunks)
+    signal = gen_wgn(p, n_rows + m - 1, seed=p + m + chunks)
+    weights = random_graph(p, seed=p).weights
+    moments = _moments(signal.values)
+    whole = list(_hop_columns(_standardize(signal.values).T, weights, m))
+    for start, end in _time_chunks(n_rows, p):
+        block = _standardize(signal.values[:, start : end + m - 1], moments)
+        for k, column in enumerate(_hop_columns(block.T, weights, m)):
+            assert np.array_equal(column[: end - start], whole[k][start:end])
+
+
+def test_huge_weights_rescale_identically_in_every_time_chunk():
+    n = rows_in_chunks(3, 3) + 3
+    signal = gen_wgn(3, n, 0)
+    complete = build_complete_graph(3).weights
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, hist = mvdeg_single_scale(signal, WeightedGraph(complete * 1e120), 4, 6)
+        large_value, large = mvdeg_single_scale(signal, WeightedGraph(complete * 1e50), 4, 6)
+    want_value, want = whole_basis_oracle(signal, WeightedGraph(complete * 1e120), 4, 6)
+    assert hist == want == large
+    assert value.hex() == want_value.hex() == large_value.hex()
+
+
+def test_float_range_errors_raise_from_chunked_signals():
+    signal = gen_wgn(3, rows_in_chunks(3, 3) + 3, 0)
+    with pytest.raises(FloatRangeError, match="row sums of hop column 1 overflow"):
+        mvdeg_single_scale(signal, WeightedGraph(build_complete_graph(3).weights * 1.7e308), 4, 6)
+    w = np.zeros((3, 3))
+    w[0, 1] = w[1, 0] = 1e110
+    with pytest.raises(FloatRangeError, match="too far apart"):
+        mvdeg_single_scale(signal, WeightedGraph(w), 4, 6)

@@ -14,6 +14,7 @@ from mvdeg import (
     gen_wgn,
     mvdeg_single_scale,
     uniform_correlation,
+    univariate_single_scale,
 )
 
 # (p, N, m, c, graph, tau) -> (entropy as float.hex, distinct codes, patterns,
@@ -82,3 +83,30 @@ def test_single_scale_peak_memory_does_not_grow_with_m():
     finally:
         tracemalloc.stop()
     assert peak < 10 * signal.values.nbytes
+
+
+def traced_peak(call):
+    """Peak bytes traced while call() runs, after one untraced warm-up call."""
+    call()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_single_scale_streams_time_in_bounded_chunks():
+    # the sd pass takes one signal size; each time chunk adds a few arrays of
+    # about 2^18 samples and its codes are counted before the next one
+    signal = gen_wgn(32, 100_000, 0)
+    graph = build_complete_graph(32)
+    peak = traced_peak(lambda: mvdeg_single_scale(signal, graph, 4, 6))
+    assert peak < 2 * signal.values.nbytes
+
+
+def test_univariate_single_scale_folds_codes_without_a_window_array():
+    channel = gen_wgn(1, 200_000, 0).values[0]
+    peak = traced_peak(lambda: univariate_single_scale(channel, 4, 6))
+    assert peak < 4 * channel.nbytes
