@@ -3,7 +3,8 @@
 All three share the same per-channel class map (normal CDF of standardized
 values, rounded half-away-from-zero onto 1..c) and the same normalized Shannon
 entropy over m-length class patterns, -(1 / ln(c^m)) * sum p ln p. They differ
-only in how patterns are extracted:
+only in which class sequences make up a pattern; _encode_patterns folds those
+sequences into the same base-c int64 codes for all three:
 
   * mvdeg_*: one pattern per (time, channel) vertex, built from row-sum
     normalized hop aggregates of the time-path / channel-graph product.
@@ -16,13 +17,12 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Callable, ItemsView, Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import chain, combinations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import ndtr
 
 from .errors import (
@@ -64,7 +64,8 @@ class DispersionHistogram:
 
     Held as two int64 arrays: ``codes``, the distinct base-c pattern codes in
     ascending order, and ``code_counts``, their positive counts. ``counts`` is
-    a read-only view mapping each pattern (tuple of ints in 1..c) to its count.
+    a {pattern (tuple of ints in 1..c): count} dict, decoded on each access in
+    ascending code order.
     """
 
     __slots__ = ("codes", "code_counts", "m", "c")
@@ -74,11 +75,13 @@ class DispersionHistogram:
         for pattern, count in counts.items():
             if len(pattern) != m:
                 raise DimensionError(f"pattern {pattern} is not length {m}")
+            if not all(isinstance(v, (int, np.integer)) for v in (*pattern, count)):
+                raise DimensionError(f"pattern {pattern} or its count {count} is not an integer")
             if not all(1 <= v <= c for v in pattern):
                 raise DimensionError(f"pattern {pattern} leaves class range 1..{c}")
             if count < 1:
                 raise DimensionError(f"pattern {pattern} has nonpositive count {count}")
-        codes = _encode_patterns(np.array(list(counts), dtype=np.int64).reshape(-1, m), c)
+        codes = _encode_patterns(np.array(list(counts), dtype=np.int64).reshape(-1, m).T, c)
         order = np.argsort(codes)
         self.codes = codes[order]
         self.code_counts = np.array(list(counts.values()), dtype=np.int64)[order]
@@ -92,8 +95,12 @@ class DispersionHistogram:
         )
 
     @property
-    def counts(self) -> Mapping[tuple[int, ...], int]:
-        return _PatternCounts(self)
+    def counts(self) -> dict[tuple[int, ...], int]:
+        m, c = self.m, self.c
+        return {
+            _decode_pattern(code, m, c): count
+            for code, count in zip(self.codes.tolist(), self.code_counts.tolist())
+        }
 
     @property
     def total(self) -> int:
@@ -104,10 +111,12 @@ class DispersionHistogram:
         """Count identical rows of an (R, m) integer class matrix over 1..c."""
         if rows.ndim != 2 or rows.shape[1] != m:
             raise DimensionError(f"class rows must have shape (R, {m}), got {rows.shape}")
+        if not np.issubdtype(rows.dtype, np.integer):
+            raise DimensionError(f"class rows must be integers, got dtype {rows.dtype}")
         _check_code_range(m, c)
         if rows.size and (rows.min() < 1 or rows.max() > c):
             raise DimensionError(f"class rows leave class range 1..{c}")
-        return cls._from_codes([_encode_patterns(rows, c)], m, c)
+        return cls._from_codes([_encode_patterns(rows.astype(np.int64, copy=False).T, c)], m, c)
 
     @classmethod
     def _from_codes(cls, chunks: Iterable[np.ndarray], m: int, c: int) -> "DispersionHistogram":
@@ -130,44 +139,6 @@ class DispersionHistogram:
         hist = cls.__new__(cls)
         hist.codes, hist.code_counts, hist.m, hist.c = codes, tally, m, c
         return hist
-
-
-class _PatternCounts(Mapping):
-    """{pattern: count} view of a histogram, decoded on demand in ascending code order."""
-
-    __slots__ = ("_hist",)
-
-    def __init__(self, hist: DispersionHistogram):
-        self._hist = hist
-
-    def __len__(self) -> int:
-        return len(self._hist.codes)
-
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
-        m, c = self._hist.m, self._hist.c
-        return (_decode_pattern(code, m, c) for code in self._hist.codes.tolist())
-
-    def __getitem__(self, pattern: tuple[int, ...]) -> int:
-        hist = self._hist
-        if isinstance(pattern, tuple) and len(pattern) == hist.m and all(
-            isinstance(v, (int, np.integer)) and 1 <= v <= hist.c for v in pattern
-        ):
-            code = _encode_patterns(np.array([pattern]), hist.c)[0]
-            i = np.searchsorted(hist.codes, code)
-            if i < len(hist.codes) and hist.codes[i] == code:
-                return int(hist.code_counts[i])
-        raise KeyError(pattern)
-
-    def items(self) -> ItemsView:
-        return _PatternItems(self)
-
-    def __repr__(self) -> str:
-        return repr(dict(self.items()))
-
-
-class _PatternItems(ItemsView):
-    def __iter__(self):
-        return zip(self._mapping, self._mapping._hist.code_counts.tolist())
 
 
 @dataclass(frozen=True)
@@ -231,11 +202,17 @@ def _classes_from_z(z: np.ndarray, c: int) -> np.ndarray:
     return np.minimum(np.floor(z, out=z), c, out=z).astype(np.int64)
 
 
-def _encode_patterns(rows: np.ndarray, c: int) -> np.ndarray:
-    """Base-c integer code per row; row order preserved."""
-    m = rows.shape[1]
-    weights = (c ** np.arange(m - 1, -1, -1)).astype(np.int64)
-    return (rows.astype(np.int64, copy=False) - 1) @ weights
+def _encode_patterns(columns: Iterable[np.ndarray], c: int) -> np.ndarray:
+    """Base-c int64 code per pattern, sum (class_j - 1) c^(m-1-j), from 1-D class
+    columns (values 1..c, first column most significant). Folds code = code * c +
+    (class - 1) into a new array, taking one column at a time from a generator."""
+    columns = iter(columns)
+    code = np.subtract(next(columns), 1, dtype=np.int64)
+    for column in columns:
+        code *= c
+        code += column
+        code -= 1
+    return code
 
 
 def _check_code_range(m: int, c: int) -> None:
@@ -357,12 +334,11 @@ def mvdeg_single_scale(
     def chunk_codes():
         for start, end in _time_chunks(n_rows, p):
             z = _standardize(values[:, start : end + m - 1], moments)
-            code = np.zeros((end - start) * p, dtype=np.int64)
-            for column in _hop_columns(z.T, graph.weights, m):
-                code *= c
-                code += _classes_from_z(column[: end - start], c).ravel()
-                code -= 1
-            yield code
+            classes = (
+                _classes_from_z(column[: end - start], c).ravel()
+                for column in _hop_columns(z.T, graph.weights, m)
+            )
+            yield _encode_patterns(classes, c)
 
     histogram = DispersionHistogram._from_codes(chunk_codes(), m, c)
     return normalized_entropy(histogram), histogram
@@ -431,19 +407,14 @@ def classical_mvde(
     length = coarse.n_samples
     if length < m + 1:
         raise ScaleUndefinedError(tau, length)
-    count = (length - m + 1) * math.comb(m * coarse.p, m)
+    windows = length - m + 1
+    count = windows * math.comb(m * coarse.p, m)
     if count > pattern_cap:
         raise CapacityError(count, pattern_cap)
 
-    classes = ncdf_map(coarse, c)
-    # (windows, p, m) -> (windows, p*m), channel-major with lags consecutive
-    window_classes = (
-        sliding_window_view(classes, m, axis=1)
-        .transpose(1, 0, 2)
-        .reshape(length - m + 1, coarse.p * m)
-    )
-    subsets = combinations(range(coarse.p * m), m)
-    codes = (_encode_patterns(window_classes[:, subset], c) for subset in subsets)
+    # one class view per window position, in the order above
+    lagged = [row[lag : lag + windows] for row in ncdf_map(coarse, c) for lag in range(m)]
+    codes = (_encode_patterns(subset, c) for subset in combinations(lagged, m))
     histogram = DispersionHistogram._from_codes(codes, m, c)
     return normalized_entropy(histogram), histogram
 
@@ -480,11 +451,7 @@ def univariate_single_scale(
         raise DimensionError(f"need more than m={m} samples, got {x.size}")
     classes = ncdf_map(MultivariateSignal(x[None, :]), c)[0]
     n_rows = x.size - m + 1
-    code = classes[:n_rows] - 1
-    for k in range(1, m):
-        code *= c
-        code += classes[k : k + n_rows]
-        code -= 1
+    code = _encode_patterns((classes[k : k + n_rows] for k in range(m)), c)
     histogram = DispersionHistogram._from_codes([code], m, c)
     return normalized_entropy(histogram), histogram
 

@@ -507,3 +507,23 @@ def test_float_range_errors_raise_from_chunked_signals():
     w[0, 1] = w[1, 0] = 1e110
     with pytest.raises(FloatRangeError, match="too far apart"):
         mvdeg_single_scale(signal, WeightedGraph(w), 4, 6)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: DispersionHistogram.from_class_rows(np.array([[1.5, 2.0], [1.0, 2.0]]), 2, 3),
+    lambda: DispersionHistogram.from_class_rows(np.array([[1.0, 2.0]]), 2, 3),
+    lambda: DispersionHistogram({(1.5, 2): 1, (1, 2): 3}, 2, 3),
+    lambda: DispersionHistogram({(1, np.float64(2.0)): 1}, 2, 3),
+    lambda: DispersionHistogram({(1, 2): 1.5}, 2, 3),
+], ids=["fractional-rows", "float-rows", "fractional-class", "float-class", "fractional-count"])
+def test_non_integer_classes_and_counts_are_refused(build):
+    # truncating them instead would merge distinct patterns or drop counts
+    with pytest.raises(DimensionError, match="integer"):
+        build()
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int32, np.uint64])
+def test_from_class_rows_counts_any_integer_dtype_like_int64(dtype):
+    rows = np.random.default_rng(0).integers(1, 7, size=(500, 4))
+    want = DispersionHistogram.from_class_rows(rows, 4, 6)
+    assert DispersionHistogram.from_class_rows(rows.astype(dtype), 4, 6) == want

@@ -1,4 +1,4 @@
-"""Regression pins of the graph-based single-scale pipeline: exact outputs and peak memory."""
+"""Regression pins of the three single-scale pipelines: exact outputs and peak memory."""
 
 import hashlib
 import tracemalloc
@@ -8,6 +8,7 @@ import pytest
 from mvdeg import (
     build_complete_graph,
     build_zero_graph,
+    classical_mvde,
     coarse_grain,
     estimate_correlation_graph,
     gen_correlated,
@@ -53,6 +54,38 @@ GOLDEN = {
 }
 
 
+# classical_mvde at (p, N, m, c, tau), same format and signals, computed with
+# the (windows, p m) window-matrix encoder: c^m = 1296 is counted by bincount,
+# 40^3 and 300^7 > 2^53 by merged per-subset np.unique.
+CLASSICAL_GOLDEN = {
+    (6, 2000, 4, 6, 1): ("0x1.fd6f18b0d72fcp-1", 1296, 21220122, "525670448487b9ee"),
+    (6, 2000, 4, 6, 3): ("0x1.fd4fbc05e0973p-1", 1296, 7045038, "7dbd5cdf9db884ee"),
+    (3, 500, 3, 40, 1): ("0x1.c676d613badbfp-1", 21942, 41832, "464f9647db25cca1"),
+    (2, 3000, 7, 300, 1): ("0x1.94537b42752d3p-2", 7676885, 10275408, "63f35a92c2e80c6f"),
+}
+
+# univariate_single_scale at (N, m, c) on gen_wgn(1, N, seed=N), same format,
+# reaching bincount, np.unique and codes above 2^53 (30^11)
+UNIVARIATE_GOLDEN = {
+    (200_000, 4, 6): ("0x1.ffc082cdcdc87p-1", 1296, 199997, "444fe4853ec53889"),
+    (50_001, 6, 40): ("0x1.f493451839da5p-2", 49996, 49996, "94f0f8be095dcf38"),
+    (5_000, 11, 30): ("0x1.d21f4bcdd1763p-3", 4990, 4990, "b57049578db63d47"),
+    (5_000, 2, 3000): ("0x1.104ce883b164fp-1", 4996, 4999, "870a383144ddbf2b"),
+}
+
+
+def pin(value, hist):
+    """(entropy as float.hex, distinct codes, patterns, sha256 prefix) of one result."""
+    digest = hashlib.sha256(
+        hist.codes.astype("<i8").tobytes() + hist.code_counts.astype("<i8").tobytes()
+    ).hexdigest()[:16]
+    return value.hex(), len(hist.codes), hist.total, digest
+
+
+def case_id(case):
+    return "-".join(map(str, case))
+
+
 @pytest.mark.parametrize("case", list(GOLDEN), ids=lambda case: "-".join(map(str, case)))
 def test_single_scale_is_bit_identical_to_the_whole_basis_path(case):
     p, n, m, c, graph_name, tau = case
@@ -67,6 +100,20 @@ def test_single_scale_is_bit_identical_to_the_whole_basis_path(case):
         hist.codes.astype("<i8").tobytes() + hist.code_counts.astype("<i8").tobytes()
     ).hexdigest()[:16]
     assert (value.hex(), len(hist.codes), hist.total, digest) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", list(CLASSICAL_GOLDEN), ids=case_id)
+def test_classical_mvde_is_bit_identical_to_the_window_matrix_path(case):
+    p, n, m, c, tau = case
+    signal = gen_correlated(p, n, uniform_correlation(p, 0.5), seed=p + n)
+    assert pin(*classical_mvde(signal, m, c, tau=tau)) == CLASSICAL_GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", list(UNIVARIATE_GOLDEN), ids=case_id)
+def test_univariate_single_scale_is_bit_identical_to_its_pinned_outputs(case):
+    n, m, c = case
+    channel = gen_wgn(1, n, seed=n).values[0]
+    assert pin(*univariate_single_scale(channel, m, c)) == UNIVARIATE_GOLDEN[case]
 
 
 def test_single_scale_peak_memory_does_not_grow_with_m():
@@ -110,3 +157,12 @@ def test_univariate_single_scale_folds_codes_without_a_window_array():
     channel = gen_wgn(1, 200_000, 0).values[0]
     peak = traced_peak(lambda: univariate_single_scale(channel, 4, 6))
     assert peak < 4 * channel.nbytes
+
+
+def test_classical_mvde_encodes_lagged_class_views_without_a_window_matrix():
+    # a (windows, p m) int64 window matrix alone is m = 4 signal sizes; the
+    # lagged columns are views of the (p, N) classes and each subset's codes
+    # are one window-length array
+    signal = gen_wgn(4, 20_000, 0)
+    peak = traced_peak(lambda: classical_mvde(signal, 4, 6))
+    assert peak < 4 * signal.values.nbytes
