@@ -1,6 +1,7 @@
 """Timing sweeps and seeded ensemble experiments.
 
-Wall times are the median of 3 repetitions after 1 warm-up, single-threaded.
+Wall times are the median of 3 repetitions after 1 warm-up; the report's
+environment records the BLAS thread count they ran with.
 Capacity refusals by the classical method are recorded as outcomes in the
 report, never raised out of a sweep; everything except the wall-clock numbers
 is a pure function of the seeds.
@@ -8,12 +9,14 @@ is a pure function of the seeds.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import platform
 import statistics
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -42,8 +45,16 @@ from .signal import MultivariateSignal
 GRAPH_POLICIES = ("zero", "complete", "theoretical", "estimated")
 
 
+def _blas_threads() -> int | None:
+    """Threads numpy's bundled OpenBLAS runs with; None where it is not found."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so*")):
+        return ctypes.CDLL(str(path)).scipy_openblas_get_num_threads64_()
+    return None
+
+
 def environment_info() -> dict:
-    """Versions and hardware tags recorded with every timing report."""
+    """Versions, hardware tags and the BLAS thread count recorded with every timing report."""
     cpu = platform.processor() or platform.machine()
     try:
         with open("/proc/cpuinfo") as f:
@@ -57,7 +68,7 @@ def environment_info() -> dict:
         "python": sys.version.split()[0],
         "numpy": np.__version__,
         "cpu": cpu,
-        "threads": 1,
+        "threads": _blas_threads(),
     }
 
 
@@ -178,26 +189,35 @@ def aggregate_curves(
     )
 
 
-def _theoretical_graph(spec: GeneratorSpec) -> WeightedGraph:
-    """Channel graph from the correlation structure the generator was told to use."""
-    if spec.kind == "correlated":
-        return correlation_graph(spec.params["corr"])
-    # independent channels by construction
-    return build_zero_graph(spec.p)
-
-
 def _policy_graph(
     policy: str, spec: GeneratorSpec, signal: MultivariateSignal
 ) -> WeightedGraph:
-    if policy == "zero":
+    """The channel graph a policy gives; "theoretical" is the correlation the
+    generator was told to use, and no edges for channels independent by construction."""
+    if policy == "zero" or (policy == "theoretical" and spec.kind != "correlated"):
         return build_zero_graph(spec.p)
     if policy == "complete":
         return build_complete_graph(spec.p)
     if policy == "theoretical":
-        return _theoretical_graph(spec)
+        return correlation_graph(spec.params["corr"])
     if policy == "estimated":
         return estimate_correlation_graph(signal)
     raise DimensionError(f"unknown graph policy {policy!r}; expected one of {GRAPH_POLICIES}")
+
+
+def _realization_curves(
+    spec: GeneratorSpec, index: int, policies: Sequence[str], config: EmbeddingConfig,
+    realizations: int, seed: int,
+) -> list[list[EntropyCurve]]:
+    """Per policy, the curve of each realization r of spec; its signal is generated
+    once, with the seed derived from (seed, index, r), and every policy sees it."""
+    curves: list[list[EntropyCurve]] = [[] for _ in policies]
+    for r in range(realizations):
+        spec_r = replace(spec, seed=realization_seed(seed, index, r))
+        signal = generate(spec_r)
+        for policy, per_policy in zip(policies, curves):
+            per_policy.append(mvdeg_curve(signal, _policy_graph(policy, spec_r, signal), config))
+    return curves
 
 
 def run_noise_experiment(
@@ -217,13 +237,8 @@ def run_noise_experiment(
     if realizations < 1:
         raise DimensionError(f"need at least one realization, got {realizations}")
     curves = []
-    for cond_index, (cond_label, spec) in enumerate(conditions):
-        per_real = []
-        for r in range(realizations):
-            spec_r = replace(spec, seed=realization_seed(seed, cond_index, r))
-            signal = generate(spec_r)
-            graph = _policy_graph(graph_policy, spec_r, signal)
-            per_real.append(mvdeg_curve(signal, graph, config))
+    for i, (cond_label, spec) in enumerate(conditions):
+        (per_real,) = _realization_curves(spec, i, (graph_policy,), config, realizations, seed)
         curves.append(aggregate_curves(per_real, method=cond_label, seed=seed))
     return EnsembleReport(
         label=label,
@@ -231,9 +246,7 @@ def run_noise_experiment(
         realizations=realizations,
         seed=seed,
         config={
-            "m": config.m,
-            "c": config.c,
-            "max_scale": config.max_scale,
+            **asdict(config),
             "graph_policy": graph_policy,
             "conditions": [c_label for c_label, _ in conditions],
         },
@@ -253,27 +266,15 @@ def compare_graph_policies(
     """
     if realizations < 1:
         raise DimensionError(f"need at least one realization, got {realizations}")
-    theo_curves = []
-    est_curves = []
-    for r in range(realizations):
-        spec_r = replace(spec, seed=realization_seed(seed, 0, r))
-        signal = generate(spec_r)
-        theo_curves.append(
-            mvdeg_curve(signal, _policy_graph("theoretical", spec_r, signal), config)
-        )
-        est_curves.append(
-            mvdeg_curve(signal, _policy_graph("estimated", spec_r, signal), config)
-        )
-    diffs = []
-    for i in range(config.max_scale):
-        if not theo_curves[0].records[i].defined:
-            diffs.append(math.nan)
-            continue
-        per_real = [
-            abs(t.records[i].mean - e.records[i].mean)
-            for t, e in zip(theo_curves, est_curves)
-        ]
-        diffs.append(float(np.mean(per_real)))
+    theo_curves, est_curves = _realization_curves(
+        spec, 0, ("theoretical", "estimated"), config, realizations, seed
+    )
+    pairs = list(zip(theo_curves, est_curves))
+    diffs = [
+        float(np.mean([abs(t.records[i].mean - e.records[i].mean) for t, e in pairs]))
+        if theo_curves[0].records[i].defined else math.nan
+        for i in range(config.max_scale)
+    ]
     finite = [d for d in diffs if not math.isnan(d)]
     return EnsembleReport(
         label="graph-compare",
@@ -283,12 +284,7 @@ def compare_graph_policies(
         ),
         realizations=realizations,
         seed=seed,
-        config={
-            "m": config.m,
-            "c": config.c,
-            "max_scale": config.max_scale,
-            "generator": spec.kind,
-        },
+        config={**asdict(config), "generator": spec.kind},
         summary={
             "mean_abs_diff_per_scale": diffs,
             "max_mean_abs_diff": max(finite) if finite else math.nan,

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import asdict
 from importlib.metadata import PackageNotFoundError, version
 
 from .bench import (
@@ -166,9 +166,7 @@ def _cmd_entropy(args, parser: _Parser) -> int:
             "input": str(args.input),
             "method": args.method,
             "graph": curve.graph,
-            "m": config.m,
-            "c": config.c,
-            "max_scale": config.max_scale,
+            **asdict(config),
             "package": f"mvdeg {_VERSION}",
         },
     )
@@ -205,47 +203,29 @@ def _cmd_bench(args, parser: _Parser) -> int:
 def _cmd_ensemble(args, parser: _Parser) -> int:
     config = EmbeddingConfig(m=args.m, c=args.c, max_scale=args.max_scale)
     n = args.n if args.n is not None else (15000 if args.experiment == "mixture" else 500)
-    # zero-graph ensembles of correlated signals use the generator's own correlation
-    policy = args.graph_policy if args.graph_policy != "zero" else "theoretical"
     if args.experiment == "mixture":
+        conditions = [(f"F({q})", GeneratorSpec("mixture", 3, n, 0, {"q": q})) for q in range(4)]
+        policy = args.graph_policy
+    else:
+        if args.experiment == "sets":
+            pairs = structured_correlation_sets(args.block_rho)
+        else:  # graph-compare takes the first degree alone
+            degrees = _number_list(args.degrees, "--degrees", parser, float)
+            keep = 1 if args.experiment == "graph-compare" else len(degrees)
+            # lazy, so each matrix is checked just before its own spec
+            pairs = ((f"rho={rho}", uniform_correlation(args.p, rho)) for rho in degrees[:keep])
         conditions = [
-            (f"F({q})", GeneratorSpec("mixture", 3, n, 0, {"q": q})) for q in range(4)
+            (label, GeneratorSpec("correlated", corr.shape[0], n, 0, {"corr": corr.tolist()}))
+            for label, corr in pairs
         ]
+        # zero-graph ensembles of correlated signals use the generator's own correlation
+        policy = "theoretical" if args.graph_policy == "zero" else args.graph_policy
+    if args.experiment == "graph-compare":
+        report = compare_graph_policies(conditions[0][1], config, args.realizations, args.seed)
+    else:
         report = run_noise_experiment(
-            conditions, args.graph_policy, config, args.realizations, args.seed,
-            label="mixture",
+            conditions, policy, config, args.realizations, args.seed, label=args.experiment
         )
-    elif args.experiment == "degrees":
-        degrees = _number_list(args.degrees, "--degrees", parser, float)
-        conditions = [
-            (
-                f"rho={rho}",
-                GeneratorSpec(
-                    "correlated", args.p, n, 0,
-                    {"corr": uniform_correlation(args.p, rho).tolist()},
-                ),
-            )
-            for rho in degrees
-        ]
-        report = run_noise_experiment(
-            conditions, policy, config, args.realizations, args.seed, label="degrees"
-        )
-    elif args.experiment == "sets":
-        conditions = [
-            (label, GeneratorSpec("correlated", 4, n, 0, {"corr": corr.tolist()}))
-            for label, corr in structured_correlation_sets(args.block_rho)
-        ]
-        report = run_noise_experiment(
-            conditions, policy, config, args.realizations, args.seed, label="sets"
-        )
-    else:  # graph-compare
-        degrees = _number_list(args.degrees, "--degrees", parser, float)
-        spec = GeneratorSpec(
-            "correlated", args.p, n, 0,
-            {"corr": uniform_correlation(args.p, degrees[0]).tolist()},
-        )
-        report = compare_graph_policies(spec, config, args.realizations, args.seed)
-    report = replace(report, config={**report.config, "threads": args.threads})
     mio.write_ensemble_report(report, f"{args.out}.json", f"{args.out}.csv")
     print(
         f"wrote {args.out}.json and {args.out}.csv "
@@ -325,7 +305,6 @@ def _build_parser() -> _Parser:
     ens.add_argument("--graph-policy", choices=list(GRAPH_POLICIES), default="zero")
     ens.add_argument("--degrees", default="0.95,0.75,0.55,0.35,0.15")
     ens.add_argument("--block-rho", type=float, default=0.9, dest="block_rho")
-    ens.add_argument("--threads", type=int, default=1, help="recorded in the report")
     ens.add_argument("--out", required=True, help="output path prefix")
     ens.set_defaults(func=_cmd_ensemble)
 

@@ -1,6 +1,9 @@
 """Timing sweeps, ensemble experiments, and correlation-structure helpers."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -73,8 +76,19 @@ def test_timing_sweep_validation():
 def test_environment_info_keys():
     info = environment_info()
     assert set(info) == {"python", "numpy", "cpu", "threads"}
-    assert info["threads"] == 1
     assert info["numpy"] == np.__version__
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_environment_info_reads_back_the_blas_thread_count(threads):
+    # OpenBLAS caps the requested count at the CPUs the process may run on
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads)}
+    code = "import os, mvdeg; print(mvdeg.environment_info()['threads'], len(os.sched_getaffinity(0)))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    blas, cpus = map(int, out.split())
+    assert blas == min(threads, cpus)
 
 
 # ── curve aggregation ────────────────────────────────────────────────────────
@@ -166,6 +180,18 @@ def test_compare_graph_policies_summary():
     assert report.summary["max_mean_abs_diff"] == max(diffs)
     again = compare_graph_policies(spec, cfg, realizations=2, seed=13)
     assert again.summary == report.summary
+
+
+def test_compare_graph_policies_matches_single_policy_experiments():
+    spec = GeneratorSpec(
+        "correlated", p=3, n_samples=150, seed=0,
+        params={"corr": uniform_correlation(3, 0.7).tolist()},
+    )
+    cfg = EmbeddingConfig(m=2, c=4, max_scale=3)
+    compared = compare_graph_policies(spec, cfg, realizations=3, seed=21)
+    for policy, curve in zip(("theoretical", "estimated"), compared.curves):
+        alone = run_noise_experiment([(policy, spec)], policy, cfg, realizations=3, seed=21)
+        assert alone.curves == (curve,)  # bit for bit, records and all
 
 
 # ── correlation-structure helpers ────────────────────────────────────────────

@@ -287,8 +287,17 @@ def test_ensemble_mixture_small(tmp_path, capsys):
     payload = json.loads((tmp_path / "mix.json").read_text())
     assert payload["label"] == "mixture"
     assert [c["method"] for c in payload["curves"]] == ["F(0)", "F(1)", "F(2)", "F(3)"]
-    assert payload["config"]["threads"] == 1
+    assert "threads" not in payload["config"]
     assert payload["realizations"] == 2
+
+
+def test_ensemble_threads_flag_is_usage_error(tmp_path, capsys):
+    code = run(
+        "ensemble", "--experiment", "mixture", "--n", "64", "--realizations", "1",
+        "--threads", "2", "--out", str(tmp_path / "mix"),
+    )
+    assert code == 1
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
 def test_ensemble_degrees_small(tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""Regression pins of the three single-scale pipelines: exact outputs and peak memory."""
+"""Regression pins of the three single-scale pipelines and the seeded ensembles:
+exact outputs and peak memory."""
 
 import hashlib
 import tracemalloc
@@ -6,14 +7,18 @@ import tracemalloc
 import pytest
 
 from mvdeg import (
+    EmbeddingConfig,
+    GeneratorSpec,
     build_complete_graph,
     build_zero_graph,
     classical_mvde,
     coarse_grain,
+    compare_graph_policies,
     estimate_correlation_graph,
     gen_correlated,
     gen_wgn,
     mvdeg_single_scale,
+    run_noise_experiment,
     uniform_correlation,
     univariate_single_scale,
 )
@@ -74,6 +79,38 @@ UNIVARIATE_GOLDEN = {
 }
 
 
+# per-scale (mean, sd) as float.hex of each aggregated curve: run_noise_experiment
+# over two conditions under the estimated policy (seed 7), then
+# compare_graph_policies (seed 11), all at N = 300, m = 3, c = 4, 4 scales and
+# 3 realizations
+ENSEMBLE_GOLDEN = {
+    "rho=0.8": [
+        ("0x1.9b33b7894909bp-1", "0x1.2d91bdbdf2c8cp-7"),
+        ("0x1.919ba19b29b49p-1", "0x1.1e22a7b7ae809p-6"),
+        ("0x1.91cb611bd6fe0p-1", "0x1.ce3d7d34a21e0p-10"),
+        ("0x1.848d335e7e535p-1", "0x1.3db130da536f6p-6"),
+    ],
+    "F(1)": [
+        ("0x1.e2db12f67fe58p-1", "0x1.a3a61be728cfcp-7"),
+        ("0x1.deb4a5ea79124p-1", "0x1.defe16f74bd88p-8"),
+        ("0x1.e058d18d6c37bp-1", "0x1.7c24367128b77p-7"),
+        ("0x1.d6215b2254111p-1", "0x1.b86d72362c3eep-7"),
+    ],
+    "theoretical": [
+        ("0x1.b6c8aa00c7604p-1", "0x1.5728fe04a372cp-9"),
+        ("0x1.b2912c0e62d40p-1", "0x1.9e025d99a82b9p-8"),
+        ("0x1.ad2dd4fc4ff93p-1", "0x1.dd68db0b9e323p-7"),
+        ("0x1.a533f8ae0f358p-1", "0x1.66aa4bef038cdp-7"),
+    ],
+    "estimated": [
+        ("0x1.b6cc76e209d01p-1", "0x1.ae28cc15292bdp-8"),
+        ("0x1.b411673345473p-1", "0x1.64820070eb097p-7"),
+        ("0x1.ad6f31eb73abbp-1", "0x1.e9b551476a8c0p-7"),
+        ("0x1.a5f621ef20c8fp-1", "0x1.77b4b63576540p-7"),
+    ],
+}
+
+
 def pin(value, hist):
     """(entropy as float.hex, distinct codes, patterns, sha256 prefix) of one result."""
     digest = hashlib.sha256(
@@ -114,6 +151,21 @@ def test_univariate_single_scale_is_bit_identical_to_its_pinned_outputs(case):
     n, m, c = case
     channel = gen_wgn(1, n, seed=n).values[0]
     assert pin(*univariate_single_scale(channel, m, c)) == UNIVARIATE_GOLDEN[case]
+
+
+def test_ensembles_are_bit_identical_to_their_pinned_outputs():
+    def correlated(rho):
+        return GeneratorSpec("correlated", 3, 300, 0, {"corr": uniform_correlation(3, rho).tolist()})
+
+    config = EmbeddingConfig(m=3, c=4, max_scale=4)
+    conditions = [("rho=0.8", correlated(0.8)), ("F(1)", GeneratorSpec("mixture", 3, 300, 0, {"q": 1}))]
+    noise = run_noise_experiment(conditions, "estimated", config, realizations=3, seed=7)
+    compared = compare_graph_policies(correlated(0.6), config, realizations=3, seed=11)
+    got = {
+        curve.method: [(r.mean.hex(), r.sd.hex()) for r in curve.records]
+        for curve in noise.curves + compared.curves
+    }
+    assert got == ENSEMBLE_GOLDEN
 
 
 def test_single_scale_peak_memory_does_not_grow_with_m():
