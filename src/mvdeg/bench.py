@@ -294,6 +294,8 @@ def compare_graph_policies(
 
 def uniform_correlation(p: int, rho: float) -> np.ndarray:
     """Correlation matrix with a single off-diagonal value."""
+    if p < 1:
+        raise DimensionError(f"channel count must be >= 1, got {p}")
     if not -1.0 <= rho <= 1.0:
         raise DimensionError(f"correlation must be in [-1, 1], got {rho}")
     corr = np.full((p, p), float(rho))

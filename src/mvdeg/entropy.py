@@ -10,7 +10,7 @@ sequences into the same base-c int64 codes for all three:
     normalized hop aggregates of the time-path / channel-graph product.
   * classical_mvde: every m-element subset of the m*p classes in each length-m
     window, which is combinatorially explosive and capped.
-  * univariate_mde: plain sliding windows over one channel.
+  * univariate_mde: mvdeg on one channel and the edgeless graph.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .errors import (
     CapacityError,
     DimensionError,
     EmptyPatternError,
+    FloatRangeError,
     ScaleUndefinedError,
 )
 from .graphs import WeightedGraph, build_zero_graph
@@ -171,8 +172,13 @@ class EntropyCurve:
 
 
 def _moments(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-channel mean and sd (denominator N-1) of (p, N) samples, as (p, 1) columns."""
-    return values.mean(axis=1, keepdims=True), values.std(axis=1, ddof=1, keepdims=True)
+    """Per-channel mean and sd (denominator N-1) of (p, N) samples, as (p, 1) columns.
+    Raises FloatRangeError for an sd that overflows float64, which makes z-scores NaN or 0."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sd = values.std(axis=1, ddof=1, keepdims=True)
+    if not np.isfinite(sd).all():
+        raise FloatRangeError("channel mean or sd overflows float64")
+    return values.mean(axis=1, keepdims=True), sd
 
 
 def _standardize(
@@ -245,7 +251,7 @@ def normalized_entropy(histogram: DispersionHistogram) -> float:
     counts = histogram.code_counts.astype(float)
     probs = counts / counts.sum()
     h = float(-(probs * np.log(probs)).sum()) / (histogram.m * math.log(histogram.c))
-    return min(max(h, 0.0), 1.0)
+    return min(max(0.0, h), 1.0)
 
 
 # ── pipeline stages ──────────────────────────────────────────────────────────
@@ -320,25 +326,29 @@ def mvdeg_single_scale(
     and folded into the chunk's base-c codes as soon as it is made, and the
     chunk's codes are counted before the next chunk starts. So a call holds a
     few chunk-sized arrays, never a signal-sized one beyond the moments pass.
-    Returns the normalized entropy and the pattern histogram.
+    On the edgeless graph (W = 0) hop column k is the block shifted k samples,
+    so the block is class-mapped once. Returns the entropy and the histogram.
     """
     _check_embedding(m, c)
-    values, p = signal.values, signal.p
+    values, p, weights = signal.values, signal.p, graph.weights
     n_rows = signal.n_samples - m + 1
     if n_rows <= 0:
         raise EmptyPatternError(
             f"no embedding rows survive masking (N={signal.n_samples}, m={m})"
         )
     moments = _moments(values)
+    edgeless = weights.shape == (p, p) and not weights.any()
 
     def chunk_codes():
         for start, end in _time_chunks(n_rows, p):
+            rows = end - start
             z = _standardize(values[:, start : end + m - 1], moments)
-            classes = (
-                _classes_from_z(column[: end - start], c).ravel()
-                for column in _hop_columns(z.T, graph.weights, m)
-            )
-            yield _encode_patterns(classes, c)
+            if edgeless:  # drop z, so the block and its classes are not both held
+                classes, z = _classes_from_z(z, c), None
+                columns = (classes[:, k : k + rows] for k in range(m))
+            else:
+                columns = (_classes_from_z(u[:rows], c) for u in _hop_columns(z.T, weights, m))
+            yield _encode_patterns(columns, c).ravel()
 
     histogram = DispersionHistogram._from_codes(chunk_codes(), m, c)
     return normalized_entropy(histogram), histogram
@@ -438,22 +448,14 @@ def classical_mvde_curve(
 def univariate_single_scale(
     channel: np.ndarray, m: int, c: int
 ) -> tuple[float, DispersionHistogram]:
-    """Univariate dispersion entropy of one 1-D series via sliding windows.
-
-    Window t's base-c code is folded from the shifted class slices
-    classes[t + k], k = 0..m-1, so no (R, m) window array is built.
-    """
+    """Dispersion entropy of one 1-D series: the p=1, edgeless case of mvdeg_single_scale."""
     x = np.asarray(channel, dtype=float)
     if x.ndim != 1:
         raise DimensionError(f"expected a 1-D channel, got shape {x.shape}")
     _check_embedding(m, c)
     if x.size < m + 1:
         raise DimensionError(f"need more than m={m} samples, got {x.size}")
-    classes = ncdf_map(MultivariateSignal(x[None, :]), c)[0]
-    n_rows = x.size - m + 1
-    code = _encode_patterns((classes[k : k + n_rows] for k in range(m)), c)
-    histogram = DispersionHistogram._from_codes([code], m, c)
-    return normalized_entropy(histogram), histogram
+    return mvdeg_single_scale(MultivariateSignal(x[None, :]), build_zero_graph(1), m, c)
 
 
 def univariate_mde(

@@ -15,7 +15,8 @@ each column into the chunk's codes, so its arrays are chunk-sized. A row's
 hop values depend only on the samples at and after it, and the per-step
 rescale only on W, so a chunk's columns are the whole signal's rows, bit for
 bit once the chunk is long enough for BLAS to round its (rows, p) x (p, p)
-product as it rounds the whole one (entropy._CHUNK_MIN_ROWS).
+product as it rounds the whole one (entropy._CHUNK_MIN_ROWS). On the edgeless
+graph column k is column 0 shifted k samples, which mvdeg_single_scale slices.
 build_hop_basis, HopBasis and apply_hop stack the whole columns as a view
 for tests.
 The binomial expansion of A^k lives only in the dense oracles below.

@@ -205,6 +205,12 @@ def test_uniform_correlation():
         uniform_correlation(3, 1.5)
 
 
+@pytest.mark.parametrize("p", [0, -1])
+def test_uniform_correlation_refuses_fewer_than_one_channel(p):
+    with pytest.raises(DimensionError, match="channel count must be >= 1"):
+        uniform_correlation(p, 0.5)
+
+
 def test_block_correlation_values():
     corr = block_correlation(4, [(0, 1), (2, 3)], 0.9)
     assert corr[0, 1] == corr[1, 0] == 0.9

@@ -252,6 +252,21 @@ def test_entropy_classical_small_case(tmp_path, capsys):
     assert 0.0 <= float(rows[1][2]) <= 1.0
 
 
+def test_entropy_classical_refuses_overflowing_moments(tmp_path, capsys):
+    # the channel's sum overflows float64, so its z-scores would all be NaN
+    sig = tmp_path / "s.csv"
+    values = [1.7e308] + [-1.7e308] * 3 + [0.0] * 4
+    sig.write_text("x\n" + "".join(f"{v!r}\n" for v in values))
+    out = tmp_path / "c.csv"
+    code = run(
+        "entropy", "--input", str(sig), "--method", "classical",
+        "--m", "5", "--c", "40", "--max-scale", "1", "--out", str(out),
+    )
+    assert code == 4
+    assert "overflows float64" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ── bench ────────────────────────────────────────────────────────────────────
 
 
@@ -311,6 +326,14 @@ def test_ensemble_degrees_small(tmp_path, capsys):
     payload = json.loads((tmp_path / "deg.json").read_text())
     assert [c["method"] for c in payload["curves"]] == ["rho=0.9", "rho=0.1"]
     assert payload["config"]["graph_policy"] == "theoretical"
+
+
+def test_ensemble_degrees_refuses_a_negative_channel_count(tmp_path, capsys):
+    prefix = tmp_path / "deg"
+    code = run("ensemble", "--experiment", "degrees", "--p", "-1", "--out", str(prefix))
+    assert code == 3
+    assert "channel count must be >= 1, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "deg.json").exists()
 
 
 def test_ensemble_sets_small(tmp_path, capsys):

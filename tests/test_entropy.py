@@ -13,6 +13,7 @@ from mvdeg import (
     DispersionHistogram,
     EmbeddingConfig,
     EmptyPatternError,
+    FloatRangeError,
     MultivariateSignal,
     ScaleUndefinedError,
     WeightedGraph,
@@ -135,6 +136,43 @@ def test_constant_signal_single_pattern_zero_entropy():
         assert value == 0.0
         assert len(hist.counts) == 1
         assert hist.total == (30 - 3 + 1) * 3
+
+
+def test_constant_signal_entropy_is_positive_zero():
+    # -(1 * ln 1) is -0.0; a curve file would print it as "-0.0"
+    sig = MultivariateSignal(np.full((2, 30), 2.5))
+    for value in (
+        mvdeg_single_scale(sig, build_zero_graph(2), 3, 6)[0],
+        mvdeg_single_scale(sig, build_complete_graph(2), 3, 6)[0],
+        univariate_single_scale(sig.values[0], 3, 6)[0],
+        classical_mvde(sig, 3, 6)[0],
+    ):
+        assert math.copysign(1.0, value) == 1.0 and value == 0.0
+
+
+# a channel whose sum overflows float64 (every z-score NaN), and one whose sum
+# of squares does (every z-score 0)
+OVERFLOWING_CHANNELS = {
+    "mean": [1.7e308] + [-1.7e308] * 3 + [0.0] * 6,
+    "sd": [1e200] + [0.0] * 9,
+}
+
+
+@pytest.mark.parametrize(
+    "channel", list(OVERFLOWING_CHANNELS.values()), ids=list(OVERFLOWING_CHANNELS)
+)
+@pytest.mark.parametrize("pipeline", [
+    lambda x: mvdeg_single_scale(MultivariateSignal([x, x]), build_zero_graph(2), 5, 40),
+    lambda x: mvdeg_single_scale(MultivariateSignal([x, x]), build_complete_graph(2), 2, 3),
+    lambda x: univariate_single_scale(np.array(x), 5, 40),
+    lambda x: univariate_single_scale(np.array(x), 2, 3),
+    lambda x: classical_mvde(MultivariateSignal([x]), 5, 40),
+    lambda x: classical_mvde(MultivariateSignal([x]), 2, 3),
+], ids=["mvdeg-zero", "mvdeg-complete", "univariate", "univariate-bincount",
+        "classical", "classical-bincount"])
+def test_overflowing_moments_raise_in_every_pipeline(pipeline, channel):
+    with pytest.raises(FloatRangeError, match="channel mean or sd overflows float64"):
+        pipeline(channel)
 
 
 def test_single_scale_validation():

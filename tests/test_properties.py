@@ -208,7 +208,7 @@ def dict_sorted_entropy(counts: dict, m: int, c: int) -> float:
     values = np.array([counts[k] for k in sorted(counts)], dtype=float)
     probs = values / values.sum()
     h = float(-(probs * np.log(probs)).sum()) / (m * math.log(c))
-    return min(max(h, 0.0), 1.0)
+    return min(max(0.0, h), 1.0)
 
 
 @EXAMPLES
@@ -467,6 +467,53 @@ def test_time_chunks_merge_sparse_codes_like_the_whole_basis_oracle(p, m, c):
     want_value, want = whole_basis_oracle(signal, graph, m, c)
     assert hist == want
     assert value.hex() == want_value.hex()
+
+
+# ── the edgeless graph's shifted class slices against the whole-basis path ──
+
+
+@pytest.mark.parametrize("chunks", [1, 2, 3])
+@pytest.mark.parametrize("m", [2, 4, 6])
+@pytest.mark.parametrize("p", [1, 3, 32, 64])
+def test_zero_graph_time_chunks_equal_the_whole_basis_oracle(p, m, chunks):
+    n = rows_in_chunks(p, chunks) + m - 1
+    signal = gen_wgn(p, n, seed=p * 100 + m * 10 + chunks)
+    graph = build_zero_graph(p)
+    value, hist = mvdeg_single_scale(signal, graph, m, 6)
+    want_value, want = whole_basis_oracle(signal, graph, m, 6)
+    assert hist == want
+    assert value.hex() == want_value.hex()
+
+
+@pytest.mark.parametrize("p, m, c", [(32, 4, 40), (3, 5, 3000)])
+def test_zero_graph_time_chunks_merge_sparse_codes_like_the_whole_basis_oracle(p, m, c):
+    n = rows_in_chunks(p, 3) + m - 1
+    signal = gen_wgn(p, n, seed=c)
+    graph = build_zero_graph(p)
+    value, hist = mvdeg_single_scale(signal, graph, m, c)
+    want_value, want = whole_basis_oracle(signal, graph, m, c)
+    assert hist == want
+    assert value.hex() == want_value.hex()
+
+
+@EXAMPLES
+@given(signals_and_graphs(min_n=13, max_n=60, max_p=5), embeddings())
+def test_zero_graph_shifted_classes_equal_the_whole_basis_oracle(case, embedding):
+    # univariate_single_scale needs N >= m + 1 = 13 samples at m = 12
+    signal, _ = case
+    m, c = embedding
+    graph = build_zero_graph(signal.p)
+    value, hist = mvdeg_single_scale(signal, graph, m, c)
+    want_value, want = whole_basis_oracle(signal, graph, m, c)
+    assert hist == want
+    assert value.hex() == want_value.hex()
+    channel = signal.values[0]
+    one_value, one = univariate_single_scale(channel, m, c)
+    graph_value, graph_hist = mvdeg_single_scale(
+        MultivariateSignal(channel[None, :]), build_zero_graph(1), m, c
+    )
+    assert one == graph_hist
+    assert one_value.hex() == graph_value.hex()
 
 
 @pytest.mark.parametrize("chunks", [2, 3])

@@ -56,6 +56,9 @@ GOLDEN = {
     (3, 2_000, 11, 30, "zero", 1): ("0x1.dbf010617fa29p-3", 5970, 5970, "99b6d004093a1c62"),
     (3, 2_000, 11, 30, "zero", 2): ("0x1.b5b8138c9bcaap-3", 2970, 2970, "a5fbb9aba87da1a3"),
     (3, 2_000, 11, 30, "zero", 7): ("0x1.6f99c2aa09c6dp-3", 825, 825, "8a41bbdcf2aebe65"),
+    # three time chunks of one channel, computed with the hop recurrence over
+    # every column before the edgeless graph class-mapped each sample once
+    (1, 800_000, 4, 6, "zero", 1): ("0x1.fff17fb6d0c00p-1", 1296, 799997, "bf0e22284930fc24"),
 }
 
 
@@ -203,6 +206,15 @@ def test_single_scale_streams_time_in_bounded_chunks():
     graph = build_complete_graph(32)
     peak = traced_peak(lambda: mvdeg_single_scale(signal, graph, 4, 6))
     assert peak < 2 * signal.values.nbytes
+
+
+def test_zero_graph_single_scale_class_maps_each_sample_once():
+    # m hop columns and their classes would be several signal sizes; the
+    # edgeless graph holds one block's classes and the codes folded from them
+    signal = gen_wgn(3, 15_000, 0)
+    graph = build_zero_graph(3)
+    peak = traced_peak(lambda: mvdeg_single_scale(signal, graph, 4, 6))
+    assert peak < 3 * signal.values.nbytes
 
 
 def test_univariate_single_scale_folds_codes_without_a_window_array():
