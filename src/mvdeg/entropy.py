@@ -29,12 +29,11 @@ from .errors import (
     CapacityError,
     DimensionError,
     EmptyPatternError,
-    FloatRangeError,
     ScaleUndefinedError,
 )
 from .graphs import WeightedGraph, build_zero_graph
 from .kron import _hop_columns
-from .signal import MultivariateSignal
+from .signal import MultivariateSignal, _channel_sd
 
 PATTERN_CAP = 10 ** 8  # refuse classical enumeration beyond this many patterns
 # mvdeg_single_scale streams time in chunks of about _CHUNK_ELEMENTS samples
@@ -173,11 +172,9 @@ class EntropyCurve:
 
 def _moments(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-channel mean and sd (denominator N-1) of (p, N) samples, as (p, 1) columns.
-    Raises FloatRangeError for an sd that overflows float64, which makes z-scores NaN or 0."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        sd = values.std(axis=1, ddof=1, keepdims=True)
-    if not np.isfinite(sd).all():
-        raise FloatRangeError("channel mean or sd overflows float64")
+    Raises FloatRangeError, via _channel_sd, for an sd that overflows float64 (z-scores
+    NaN or 0) or underflows on a varying channel (which would read as constant)."""
+    sd = _channel_sd(values)
     return values.mean(axis=1, keepdims=True), sd
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateChannelError, DimensionError
-from .signal import MultivariateSignal, _as_readonly
+from .signal import MultivariateSignal, _as_readonly, _channel_sd
 
 
 @dataclass(frozen=True)
@@ -137,17 +137,17 @@ def correlation_graph(corr: np.ndarray) -> WeightedGraph:
 def estimate_correlation_graph(signal: MultivariateSignal) -> WeightedGraph:
     """Absolute Pearson correlation between channels, diagonal zeroed.
 
-    Requires p >= 2 channels and N >= 3 samples; a zero-variance channel has no
-    defined correlation and raises DegenerateChannelError naming it.
+    Requires p >= 2 channels and N >= 3 samples; a constant channel has no
+    defined correlation and raises DegenerateChannelError naming it. A channel
+    whose sd overflows, or whose variance underflows, raises FloatRangeError.
     """
     if signal.p < 2:
         raise DimensionError("correlation graph needs at least 2 channels")
     if signal.n_samples < 3:
         raise DimensionError("correlation graph needs at least 3 samples")
-    sd = signal.values.std(axis=1)
-    for k, s in enumerate(sd):
-        if s == 0.0:
-            raise DegenerateChannelError(k)
+    constant = np.flatnonzero(_channel_sd(signal.values) == 0)
+    if constant.size:
+        raise DegenerateChannelError(int(constant[0]))
     r = np.corrcoef(signal.values)
     # corrcoef via gemm is symmetric only up to rounding; make it exact
     return correlation_graph((r + r.T) / 2.0)

@@ -15,6 +15,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
+from contextlib import contextmanager
 from dataclasses import asdict, astuple, fields
 from pathlib import Path
 from typing import Sequence
@@ -38,28 +40,65 @@ def write_json(payload, path: str | Path) -> None:
 
 
 def _read_json(path: str | Path):
-    with open(path) as f:
+    with _utf8(path), open(path, encoding="utf-8") as f:
         try:
             return json.load(f)
         except json.JSONDecodeError as err:
             raise ParseError(f"{path}: {err.msg}", line=err.lineno, column=err.colno) from None
 
 
+@contextmanager
+def _utf8(path: str | Path):
+    """Report a file that is not UTF-8 as a ParseError instead of a UnicodeDecodeError."""
+    try:
+        yield
+    except UnicodeDecodeError as err:
+        byte = err.object[err.start]
+        raise ParseError(f"{path}: byte {byte:#04x} is not UTF-8 ({err.reason})") from None
+
+
 # ── signals ──────────────────────────────────────────────────────────────────
 
 
 def read_signal_csv(path: str | Path) -> MultivariateSignal:
-    """Signal CSV -> MultivariateSignal; malformed cells name line and column."""
+    """Signal CSV -> MultivariateSignal; malformed cells name line and column.
+
+    np.loadtxt parses the body. A body it rejects, or reads as fewer than 2 rows
+    or the wrong number of columns, is re-read cell by cell, which returns the
+    same signal or raises the error that names the offending line and column.
+    """
+    with _utf8(path):
+        with open(path, newline="", encoding="utf-8") as f:
+            labels = _signal_labels(csv.reader(f), path)
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # an empty body
+                    values = np.loadtxt(f, delimiter=",", ndmin=2, comments=None, dtype=float)
+            except ValueError:
+                values = None
+        if values is None or len(values) < 2 or values.shape[1] != len(labels):
+            return _read_signal_cells(path)
+    return MultivariateSignal(values.T, labels=labels)
+
+
+def _signal_labels(reader, path: str | Path) -> tuple[str, ...]:
+    """The header row's channel names, stripped; every one must be non-empty."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError(f"{path}: empty file") from None
+    labels = tuple(name.strip() for name in header)
+    if not labels or any(not name for name in labels):
+        raise ParseError(f"{path}: header must name every channel", line=1)
+    return labels
+
+
+def _read_signal_cells(path: str | Path) -> MultivariateSignal:
+    """The cell-by-cell parser behind read_signal_csv: float() on every cell."""
     rows: list[list[float]] = []
-    with open(path, newline="") as f:
+    with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        labels = tuple(name.strip() for name in header)
-        if not labels or any(not name for name in labels):
-            raise ParseError(f"{path}: header must name every channel", line=1)
+        labels = _signal_labels(reader, path)
         width = len(labels)
         for line_no, row in enumerate(reader, start=2):
             if not row:
@@ -84,11 +123,12 @@ def read_signal_csv(path: str | Path) -> MultivariateSignal:
 
 
 def write_signal_csv(signal: MultivariateSignal, path: str | Path) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(signal.channel_labels())
+    """Header through csv.writer, then one repr-joined line per sample, converted
+    row by row: the bytes csv.writer gives, since no repr needs quoting."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        csv.writer(f).writerow(signal.channel_labels())
         for row in signal.values.T:
-            writer.writerow([repr(float(v)) for v in row])
+            f.write(",".join(map(repr, row.tolist())) + "\r\n")
 
 
 # ── station layouts ──────────────────────────────────────────────────────────
@@ -98,7 +138,7 @@ def read_station_csv(path: str | Path) -> StationLayout:
     """Station CSV (station_id,x,y) -> StationLayout."""
     ids: list[str] = []
     coords: list[tuple[float, float]] = []
-    with open(path, newline="") as f:
+    with _utf8(path), open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         try:
             header = next(reader)
@@ -127,7 +167,7 @@ def read_station_csv(path: str | Path) -> StationLayout:
 
 def write_station_csv(layout: StationLayout, path: str | Path) -> None:
     ids = layout.station_ids or tuple(f"s{i + 1}" for i in range(layout.n))
-    with open(path, "w", newline="") as f:
+    with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(["station_id", "x", "y"])
         for sid, (x, y) in zip(ids, layout.positions):

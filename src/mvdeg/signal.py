@@ -11,7 +11,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, FloatRangeError
+
+
+def _channel_sd(values: np.ndarray) -> np.ndarray:
+    """Per-channel sd (denominator N-1) of (p, N) samples as a (p, 1) column, 0 only
+    for a constant channel. Raises FloatRangeError for an sd that overflows float64
+    or a varying channel whose variance underflows to 0; only channels with sd 0
+    are scanned for that."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sd = values.std(axis=1, ddof=1, keepdims=True)
+    if not np.isfinite(sd).all():
+        raise FloatRangeError("channel mean or sd overflows float64")
+    for k in np.flatnonzero(sd == 0):
+        if (values[k] != values[k, 0]).any():
+            raise FloatRangeError(f"channel {k} varies but its variance underflows float64")
+    return sd
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:

@@ -2,11 +2,18 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mvdeg.cli import main
+
+SOURCE = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(*argv):
@@ -201,6 +208,48 @@ def test_entropy_malformed_csv(tmp_path, capsys):
     code = run("entropy", "--input", str(sig), "--out", str(tmp_path / "c.csv"))
     assert code == 2
     assert "spam" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["signal", "graph", "coords"])
+def test_entropy_non_utf8_input_is_parse_error_without_traceback(tmp_path, bad):
+    files = {
+        "signal": (tmp_path / "s.csv", b"x\n1.0\n2.0\n3.0\n4.0\n"),
+        "graph": (tmp_path / "g.json", b'{"n": 1, "directed": false, "weights": [[0.0]]}'),
+        "coords": (tmp_path / "st.csv", b"station_id,x,y\ns1,0,0\n"),
+    }
+    for name, (path, content) in files.items():
+        path.write_bytes(content.replace(b"0", b"\xff", 1) if name == bad else content)
+    graph = ["--graph", "gaussian", "--coords", str(files["coords"][0]),
+             "--sigma1-sq", "1", "--sigma2", "1"] if bad == "coords" else ["--graph", str(files["graph"][0])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SOURCE)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mvdeg.cli", "entropy", "--input", str(files["signal"][0]), *graph,
+         "--m", "2", "--c", "2", "--out", str(tmp_path / "c.csv")],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "0xff is not UTF-8" in proc.stderr
+
+
+@pytest.mark.parametrize("graph", ["correlation", "zero", "complete"])
+@pytest.mark.parametrize("scale, message", [
+    (1e200, "overflows float64"), (1e-200, "variance underflows float64"),
+])
+def test_entropy_out_of_range_moments_exit_4(tmp_path, capsys, graph, scale, message):
+    sig = tmp_path / "s.csv"
+    values = np.random.default_rng(3).standard_normal((40, 2)) * scale
+    sig.write_text("a,b\n" + "".join(f"{a!r},{b!r}\n" for a, b in values.tolist()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(
+            "entropy", "--input", str(sig), "--graph", graph,
+            "--m", "2", "--c", "3", "--max-scale", "1", "--out", str(tmp_path / "c.csv"),
+        )
+    assert code == 4
+    assert message in capsys.readouterr().err
 
 
 def test_entropy_malformed_graph_json(tmp_path, capsys):

@@ -175,6 +175,26 @@ def test_overflowing_moments_raise_in_every_pipeline(pipeline, channel):
         pipeline(channel)
 
 
+# a varying channel whose squared deviations all underflow to 0
+UNDERFLOWING_CHANNEL = [1e-200, -1e-200, 3e-200, 0.0, -2e-200, 1e-200, 0.0, 5e-201, -1e-200, 2e-200]
+
+
+@pytest.mark.parametrize("pipeline", [
+    lambda x: mvdeg_single_scale(MultivariateSignal([x, x]), build_zero_graph(2), 5, 40),
+    lambda x: mvdeg_single_scale(MultivariateSignal([x, x]), build_complete_graph(2), 2, 3),
+    lambda x: univariate_single_scale(np.array(x), 2, 3),
+    lambda x: classical_mvde(MultivariateSignal([x]), 2, 3),
+], ids=["mvdeg-zero", "mvdeg-complete", "univariate", "classical"])
+def test_underflowing_variance_raises_in_every_pipeline(pipeline):
+    with pytest.raises(FloatRangeError, match="channel 0 varies but its variance underflows"):
+        pipeline(UNDERFLOWING_CHANNEL)
+
+
+def test_tiny_constant_channel_still_lands_midscale():
+    sig = MultivariateSignal([[1e-200] * 10, np.arange(10.0)])
+    assert np.all(ncdf_map(sig, 6)[0] == 4)
+
+
 def test_single_scale_validation():
     sig = MultivariateSignal(np.random.default_rng(0).standard_normal((2, 20)))
     with pytest.raises(DimensionError):

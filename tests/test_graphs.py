@@ -1,11 +1,14 @@
 """Graph constructors: values, symmetry, degeneracy handling."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from mvdeg import (
     DegenerateChannelError,
     DimensionError,
+    FloatRangeError,
     MultivariateSignal,
     StationLayout,
     WeightedGraph,
@@ -130,6 +133,26 @@ def test_correlation_graph_names_degenerate_channel():
         estimate_correlation_graph(sig)
     assert err.value.channel == 1
     assert "1" in str(err.value)
+
+
+@pytest.mark.parametrize("scale, message", [
+    (1e200, "channel mean or sd overflows float64"),
+    (1e-200, "channel 1 varies but its variance underflows float64"),
+])
+def test_correlation_graph_out_of_range_channel_is_float_range_error(scale, message):
+    rng = np.random.default_rng(2)
+    values = np.vstack([rng.standard_normal(40), rng.standard_normal(40) * scale])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatRangeError, match=message):
+            estimate_correlation_graph(MultivariateSignal(values))
+
+
+def test_correlation_graph_tiny_constant_channel_is_degenerate():
+    values = np.array([[1.0, 2.0, 4.0], [1e-200, 1e-200, 1e-200]])
+    with pytest.raises(DegenerateChannelError) as err:
+        estimate_correlation_graph(MultivariateSignal(values))
+    assert err.value.channel == 1
 
 
 def test_correlation_graph_preconditions():

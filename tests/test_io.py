@@ -2,11 +2,18 @@
 
 import csv
 import dataclasses
+import io
 import json
 import math
+import tempfile
+import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mvdeg import (
     CURVE_CSV_HEADER,
@@ -14,11 +21,13 @@ from mvdeg import (
     EmbeddingConfig,
     EntropyCurve,
     MultivariateSignal,
+    MvdegError,
     ParseError,
     ScaleRecord,
     StationLayout,
     WeightedGraph,
     build_complete_graph,
+    gen_wgn,
     graph_from_json,
     graph_to_json,
     mvdeg_curve,
@@ -36,6 +45,7 @@ from mvdeg import (
     write_timing_report,
 )
 from mvdeg.bench import EnsembleReport
+from mvdeg.io import _read_signal_cells
 
 
 # ── signal CSV ───────────────────────────────────────────────────────────────
@@ -103,6 +113,133 @@ def test_signal_blank_lines_skipped(tmp_path):
     path.write_text("a\n1.0\n\n2.0\n\n")
     sig = read_signal_csv(path)
     assert np.array_equal(sig.values, [[1.0, 2.0]])
+
+
+def test_signal_write_matches_csv_writer_bytes(tmp_path):
+    values = np.array([
+        [-0.0, 5e-324, 1.7e308, -1.7e308, 0.1],
+        [1.0, -2.5e-310, 3.0, 1e-300, -7.25],
+    ])
+    sig = MultivariateSignal(values, labels=("x,y", "b"))
+    path = tmp_path / "sig.csv"
+    write_signal_csv(sig, path)
+    reference = io.StringIO(newline="")
+    writer = csv.writer(reference)
+    writer.writerow(sig.labels)
+    for row in values.T:
+        writer.writerow([repr(float(v)) for v in row])
+    assert path.read_bytes() == reference.getvalue().encode("utf-8")
+    back = read_signal_csv(path)
+    assert back.labels == ("x,y", "b")
+    assert back.values.tobytes() == sig.values.tobytes()
+
+
+def test_signal_cells_float_reads_but_loadtxt_rejects(tmp_path):
+    path = tmp_path / "odd.csv"
+    path.write_text('a,b\n1_0,"2"\n\uff13, 4 \n')
+    sig = read_signal_csv(path)
+    assert np.array_equal(sig.values, [[10.0, 3.0], [2.0, 4.0]])
+
+
+def test_signal_whitespace_line_is_a_bad_cell(tmp_path):
+    path = tmp_path / "space.csv"
+    path.write_text("a\n1.0\n \n2.0\n")
+    with pytest.raises(ParseError) as err:
+        read_signal_csv(path)
+    assert (err.value.line, err.value.column) == (3, 1)
+
+
+def test_signal_empty_body_is_dimension_error_without_warning(tmp_path):
+    path = tmp_path / "head.csv"
+    path.write_text("a,b\n\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DimensionError, match="got 0"):
+            read_signal_csv(path)
+
+
+@pytest.mark.parametrize("name, content, read", [
+    ("sig.csv", b"a,b\n1,2\n3,\xff4\n", read_signal_csv),
+    ("stations.csv", b"station_id,x,y\ns\xe9,0,0\n", read_station_csv),
+    ("g.json", b'{"n": 1, "directed": false, "weights": [[0.0]], "\xff": 1}', read_graph_json),
+])
+def test_non_utf8_bytes_are_parse_errors(tmp_path, name, content, read):
+    path = tmp_path / name
+    path.write_bytes(content)
+    with pytest.raises(ParseError, match="is not UTF-8"):
+        read(path)
+
+
+# finite cells that float() reads, some of which np.loadtxt rejects; then
+# non-finite cells, which the signal refuses, and cells neither reads
+READABLE_CELLS = ["1_0", "\uff17", " 2.5 ", "\t7", "\xa08", '"3"', "-0.0", "5e-324", "+.5"]
+BAD_CELLS = [
+    "nan", "-nan", "inf", "-Infinity", "1e500", "", " ", '"4,5"', "#", "#1", "1e", "0x10",
+]
+
+
+@st.composite
+def signal_csv_texts(draw):
+    """A header, rows of readable cells (sometimes one too many or too few), blank
+    lines, and up to two odd lines: bad cells, ragged or trailing commas, comments."""
+    labels = draw(st.sampled_from([["a"], ["a", "b"], ['"x,y"', "b", "c"]]))
+    width = len(labels)
+    body_width = draw(st.sampled_from([width] * 4 + [width - 1, width + 1]))
+    number = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    readable = st.one_of(number, st.sampled_from(READABLE_CELLS))
+    row = st.lists(readable, min_size=body_width, max_size=body_width).map(",".join)
+    lines = draw(st.lists(st.one_of(row, st.just("")), max_size=6))
+    odd_row = st.lists(st.one_of(readable, st.sampled_from(BAD_CELLS)), max_size=width + 1)
+    odd = st.one_of(
+        odd_row.map(",".join), odd_row.map(lambda cells: ",".join(cells) + ","),
+        st.sampled_from([" ", "\t", ",", "#", "# note"]),
+    )
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(odd))
+    ends = st.sampled_from(["\n", "\r\n"])
+    text = ",".join(labels) + draw(ends) + "".join(line + draw(ends) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text
+
+
+def read_outcome(read, path):
+    try:
+        sig = read(path)
+    except Exception as err:
+        return type(err), str(err), getattr(err, "line", None), getattr(err, "column", None)
+    return sig.labels, sig.values.tobytes(), sig.values.strides, sig.values.shape
+
+
+@settings(max_examples=200, deadline=None)
+@given(signal_csv_texts())
+@example("a\n1\n#\n2\n")
+@example("a,b\r\n1,2,\r\n3,4,")
+def test_signal_fast_path_matches_cell_parser(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sig.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fast = read_outcome(read_signal_csv, path)
+        assert caught == []
+        assert fast == read_outcome(_read_signal_cells, path)
+        assert not isinstance(fast[0], type) or issubclass(fast[0], MvdegError)
+
+
+def test_signal_read_peak_memory(tmp_path):
+    sig = gen_wgn(64, 20_000, seed=4)
+    path = tmp_path / "sig.csv"
+    write_signal_csv(sig, path)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        back = read_signal_csv(path)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert back.values.tobytes() == sig.values.tobytes()
+    assert peak <= 2.5 * sig.values.nbytes
 
 
 # ── station CSV ──────────────────────────────────────────────────────────────
