@@ -71,6 +71,7 @@ class DispersionHistogram:
     __slots__ = ("codes", "code_counts", "m", "c")
 
     def __init__(self, counts: Mapping[tuple[int, ...], int], m: int, c: int):
+        """Histogram of a {pattern: count} dict; production does not call it."""
         _check_code_range(m, c)
         for pattern, count in counts.items():
             if len(pattern) != m:
@@ -96,6 +97,7 @@ class DispersionHistogram:
 
     @property
     def counts(self) -> dict[tuple[int, ...], int]:
+        """The {pattern: count} dict; production does not call it."""
         m, c = self.m, self.c
         return {
             _decode_pattern(code, m, c): count
@@ -108,7 +110,7 @@ class DispersionHistogram:
 
     @classmethod
     def from_class_rows(cls, rows: np.ndarray, m: int, c: int) -> "DispersionHistogram":
-        """Count identical rows of an (R, m) integer class matrix over 1..c."""
+        """Count identical rows of an (R, m) integer class matrix over 1..c; production does not call it."""
         if rows.ndim != 2 or rows.shape[1] != m:
             raise DimensionError(f"class rows must have shape (R, {m}), got {rows.shape}")
         if not np.issubdtype(rows.dtype, np.integer):

@@ -45,14 +45,19 @@ class GeneratorSpec:
             raise DimensionError(f"need at least 2 samples, got {self.n_samples}")
 
 
+def _seed_sequence(seed: int, key: tuple[int, ...]) -> np.random.SeedSequence:
+    if seed < 0:
+        raise DimensionError(f"seed must be >= 0, got {seed}")
+    return np.random.SeedSequence(seed, spawn_key=key)
+
+
 def _rng(seed: int, *key: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
+    return np.random.Generator(np.random.PCG64(_seed_sequence(seed, key)))
 
 
 def realization_seed(seed: int, *key: int) -> int:
     """Derived integer seed for one realization of an ensemble."""
-    ss = np.random.SeedSequence(seed, spawn_key=key)
-    return int(ss.generate_state(1, np.uint64)[0])
+    return int(_seed_sequence(seed, key).generate_state(1, np.uint64)[0])
 
 
 def _wgn_channel(rng: np.random.Generator, n_samples: int) -> np.ndarray:

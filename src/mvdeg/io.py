@@ -185,13 +185,21 @@ def graph_to_json(graph: WeightedGraph) -> dict:
     }
 
 
-def graph_from_json(obj: dict) -> WeightedGraph:
+def _float_array(value, source: str | Path) -> np.ndarray:
+    """A JSON array as floats; a ragged or non-numeric one is a ParseError naming source."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ParseError(f"{source}: expected a rectangular array of numbers") from None
+
+
+def graph_from_json(obj: dict, source: str = "graph JSON") -> WeightedGraph:
     if not isinstance(obj, dict):
         raise ParseError("graph JSON must be an object")
     missing = {"n", "directed", "weights"} - set(obj)
     if missing:
         raise ParseError(f"graph JSON lacks keys: {sorted(missing)}")
-    weights = np.asarray(obj["weights"], dtype=float)
+    weights = _float_array(obj["weights"], f"{source} weights")
     if weights.shape != (obj["n"], obj["n"]):
         raise ParseError(
             f"graph JSON declares n={obj['n']} but weights have shape {weights.shape}"
@@ -200,7 +208,7 @@ def graph_from_json(obj: dict) -> WeightedGraph:
 
 
 def read_graph_json(path: str | Path) -> WeightedGraph:
-    return graph_from_json(_read_json(path))
+    return graph_from_json(_read_json(path), str(path))
 
 
 def write_graph_json(graph: WeightedGraph, path: str | Path) -> None:
@@ -208,7 +216,7 @@ def write_graph_json(graph: WeightedGraph, path: str | Path) -> None:
 
 
 def read_correlation_json(path: str | Path) -> np.ndarray:
-    arr = np.asarray(_read_json(path), dtype=float)
+    arr = _float_array(_read_json(path), path)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ParseError(f"{path}: correlation JSON must be a square 2-D array")
     return arr

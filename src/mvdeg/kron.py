@@ -18,125 +18,20 @@ bit once the chunk is long enough for BLAS to round its (rows, p) x (p, p)
 product as it rounds the whole one (entropy._CHUNK_MIN_ROWS). On the edgeless
 graph column k is column 0 shifted k samples, which mvdeg_single_scale slices.
 build_hop_basis, HopBasis and apply_hop stack the whole columns as a view
-for tests.
-The binomial expansion of A^k lives only in the dense oracles below.
-
-Stacked layout: entry (t * p) + ch of a vector is channel ch at time t, so a
-Kronecker factor acting on the left index is the time axis and the right index
-is the channel axis.
+for tests. The dense A and its binomial expansion live only in oracles.py.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
-from math import comb, frexp, ldexp
+from dataclasses import dataclass
+from math import frexp, ldexp
 
 import numpy as np
 
-from .errors import DimensionError, FloatRangeError, SizeCapError
+from .errors import DimensionError, FloatRangeError
 from .graphs import WeightedGraph
 from .signal import MultivariateSignal
-
-DENSE_CAP = 4096  # max side length for any dense oracle matrix
-
-
-@dataclass(frozen=True)
-class PathShift:
-    """k-step successor matrix of the directed path on n time vertices.
-
-    Entry (i, j) is 1 exactly when j = i + k; zero matrix when k >= n.
-    """
-
-    n: int
-    k: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise DimensionError("path needs at least one vertex")
-        if self.k < 0:
-            raise DimensionError(f"hop order must be >= 0, got {self.k}")
-
-    def to_dense(self) -> np.ndarray:
-        return np.eye(self.n, k=self.k)
-
-
-def path_power(n: int, k: int) -> PathShift:
-    """Closed form for the k-th power of the one-step path shift."""
-    return PathShift(n, k)
-
-
-@dataclass(frozen=True)
-class ProductPower:
-    """Binomial expansion of the k-th power of the product adjacency.
-
-    terms holds (coefficient, time shift, channel-graph power) triples whose
-    Kronecker sum equals A^k.
-    """
-
-    n_time: int
-    graph: WeightedGraph
-    k: int
-    terms: tuple[tuple[int, PathShift, np.ndarray], ...] = field(compare=False)
-
-    def to_dense(self, dense_cap: int = DENSE_CAP) -> np.ndarray:
-        side = self.n_time * self.graph.n
-        if side > dense_cap:
-            raise SizeCapError(side, dense_cap)
-        out = np.zeros((side, side))
-        for coef, shift, channel_power in self.terms:
-            out += coef * np.kron(shift.to_dense(), channel_power)
-        return out
-
-
-def _channel_powers(graph: WeightedGraph, up_to: int) -> list[np.ndarray]:
-    """W^0 .. W^up_to by repeated multiplication."""
-    powers = [np.eye(graph.n)]
-    for _ in range(up_to):
-        powers.append(powers[-1] @ graph.weights)
-    return powers
-
-
-def product_power_terms(n_time: int, graph: WeightedGraph, k: int) -> ProductPower:
-    """Expand A^k as sum_j C(k, j) * shift^j (x) W^(k-j)."""
-    if n_time < 1:
-        raise DimensionError("path needs at least one vertex")
-    if k < 0:
-        raise DimensionError(f"power must be >= 0, got {k}")
-    powers = _channel_powers(graph, k)
-    terms = tuple(
-        (comb(k, j), path_power(n_time, j), powers[k - j]) for j in range(k + 1)
-    )
-    return ProductPower(n_time=n_time, graph=graph, k=k, terms=terms)
-
-
-def product_adjacency(
-    n_time: int, graph: WeightedGraph, dense_cap: int = DENSE_CAP
-) -> np.ndarray:
-    """Dense product adjacency; oracle path, capped at dense_cap side length."""
-    if n_time < 1:
-        raise DimensionError("path needs at least one vertex")
-    side = n_time * graph.n
-    if side > dense_cap:
-        raise SizeCapError(side, dense_cap)
-    shift = path_power(n_time, 1).to_dense()
-    return np.kron(shift, np.eye(graph.n)) + np.kron(np.eye(n_time), graph.weights)
-
-
-def naive_power(matrix: np.ndarray, k: int, dense_cap: int = DENSE_CAP) -> np.ndarray:
-    """Dense matrix power by repeated multiplication; oracle path."""
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionError(f"matrix must be square, got shape {m.shape}")
-    if m.shape[0] > dense_cap:
-        raise SizeCapError(m.shape[0], dense_cap)
-    if k < 0:
-        raise DimensionError(f"power must be >= 0, got {k}")
-    out = np.eye(m.shape[0])
-    for _ in range(k):
-        out = out @ m
-    return out
-
 
 # Smallest rescaled row sum accepted. Above it every hop value at least 2^-64
 # times its row sum is a normal float, so u / r is exact; smaller ratios map
@@ -190,7 +85,7 @@ def apply_hop(
     """Row-sum normalized k-hop aggregate in stacked layout.
 
     Returns (values, valid), column k of build_hop_basis(signal, graph, k + 1)
-    and its horizon mask, both of length N * p.
+    and its horizon mask, both of length N * p. Production does not call it.
     """
     if k < 0:
         raise DimensionError(f"hop order must be >= 0, got {k}")
@@ -205,6 +100,7 @@ class HopBasis:
     values[:, k] is the k-hop aggregate in stacked layout. Entry (t p + ch, k)
     is valid when t + k <= N - 1, so the mask follows from (n_time, graph.n, m)
     and is not stored. Column 0 is the stacked signal, valid everywhere.
+    Production does not build one.
     """
 
     values: np.ndarray
@@ -227,7 +123,7 @@ class HopBasis:
 
 
 def build_hop_basis(signal: MultivariateSignal, graph: WeightedGraph, m: int) -> HopBasis:
-    """Stack hop columns k = 0 .. m-1 into an (N p, m) matrix; columns past the horizon are 0."""
+    """Hop columns 0 .. m-1 as an (N p, m) matrix, 0 past the horizon; production does not call it."""
     if m < 1:
         raise DimensionError(f"embedding needs m >= 1 columns, got {m}")
     values = np.zeros((signal.n_samples * signal.p, m))

@@ -83,5 +83,8 @@ class MultivariateSignal:
         return tuple(f"ch{k + 1}" for k in range(self.p))
 
     def stacked(self) -> np.ndarray:
-        """Flatten to the interleaved layout: entry (t * p) + k is channel k at time t."""
+        """Flatten to the interleaved layout: entry (t * p) + k is channel k at time t.
+
+        Production does not call it; tests compare hop columns in this layout.
+        """
         return self.values.T.reshape(-1)

@@ -316,6 +316,44 @@ def test_entropy_classical_refuses_overflowing_moments(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, array", [
+    ("entropy", [[0, 1], [1]]),
+    ("entropy", [["a", 1], [1, 0]]),
+    ("generate", [[1, 0.5], [0.5]]),
+    ("generate", [[1, {}], [0.5, 1]]),
+])
+def test_malformed_json_array_is_parse_error_without_traceback(tmp_path, capsys, command, array):
+    path = tmp_path / "array.json"
+    if command == "entropy":
+        sig = tmp_path / "s.csv"
+        sig.write_text("a,b\n1,2\n2,1\n3,5\n4,0\n")
+        path.write_text(json.dumps({"n": 2, "directed": False, "weights": array}))
+        argv = ("entropy", "--input", str(sig), "--graph", str(path), "--m", "2", "--c", "2")
+    else:
+        path.write_text(json.dumps(array))
+        argv = ("generate", "--kind", "correlated", "--corr", str(path), "--n", "20")
+    assert run(*argv, "--out", str(tmp_path / "out.csv")) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert str(path) in err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ("generate", "--kind", "wgn", "--p", "2", "--n", "20"),
+    ("ensemble", "--experiment", "mixture", "--n", "64", "--realizations", "1",
+     "--m", "2", "--c", "3", "--max-scale", "1"),
+    ("bench", "--Ns", "30", "--p", "2", "--m", "2", "--c", "3"),
+], ids=lambda command: command[0])
+def test_negative_seed_is_dimension_error(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert run(*command, "--seed", "-1", "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "seed must be >= 0, got -1" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 # ── bench ────────────────────────────────────────────────────────────────────
 
 

@@ -55,6 +55,13 @@ def test_realization_seed_behaviour():
     assert isinstance(s, int) and 0 <= s < 2 ** 64
 
 
+def test_negative_seed_is_refused():
+    with pytest.raises(DimensionError, match="seed must be >= 0, got -1"):
+        gen_wgn(2, 10, -1)
+    with pytest.raises(DimensionError, match="seed must be >= 0, got -3"):
+        realization_seed(-3, 0)
+
+
 # ── distributional properties ────────────────────────────────────────────────
 
 

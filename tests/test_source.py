@@ -62,6 +62,21 @@ def _unused_imports(tree: ast.Module) -> list[str]:
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
 
 
+def _package_imports(tree: ast.Module) -> set[str]:
+    """Modules of the package a module imports, relatively or as mvdeg.<name>."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            paths = [alias.name.split(".") for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ["mvdeg"] * bool(node.level) + (node.module.split(".") if node.module else [])
+            paths = [base + [alias.name] for alias in node.names]
+        else:
+            continue
+        found.update(path[1] for path in paths if len(path) > 1 and path[0] == "mvdeg")
+    return found
+
+
 @pytest.mark.parametrize(
     "path",
     [p for p in sorted(SOURCE.glob("*.py")) if p.name != "__init__.py"],
@@ -73,3 +88,14 @@ def test_module_imports_only_names_it_uses(path):
 
 def test_every_private_helper_is_referenced():
     assert _dead_private_helpers(SOURCE) == []
+
+
+def test_oracles_share_no_code_with_the_path_they_check():
+    imports = {path.stem: _package_imports(ast.parse(path.read_text())) for path in SOURCE.glob("*.py")}
+    assert sorted(name for name, used in imports.items() if "oracles" in used) == ["__init__"]
+    reached, todo = set(), ["oracles"]
+    while todo:
+        new = imports[todo.pop()] - reached
+        reached |= new
+        todo.extend(new)
+    assert {"kron", "entropy"}.isdisjoint(reached)
