@@ -31,7 +31,7 @@ from .entropy import (
     mvdeg_single_scale,
     pattern_counts,
 )
-from .errors import DimensionError
+from .errors import CapacityError, DimensionError
 from .generators import GeneratorSpec, gen_wgn, generate, realization_seed
 from .graphs import (
     WeightedGraph,
@@ -144,14 +144,17 @@ def run_timing_sweep(
             "mvdeg": lambda: mvdeg_single_scale(signal, graph, m, c),
         }
         for method in methods:
-            refused = method == "classical" and classical_count > pattern_cap
+            try:
+                wall_time, outcome = _median_time(timed[method], repetitions, warmup), "ok"
+            except CapacityError:
+                wall_time, outcome = None, "refused-capacity"
             cells.append(
                 TimingCell(
                     method, n, p, m, c,
-                    wall_time_s=None if refused else _median_time(timed[method], repetitions, warmup),
+                    wall_time_s=wall_time,
                     classical_patterns=classical_count,
                     graph_bound_patterns=graph_bound,
-                    outcome="refused-capacity" if refused else "ok",
+                    outcome=outcome,
                 )
             )
     return TimingReport(cells=tuple(cells), environment=environment_info(), seed=seed)
@@ -211,6 +214,8 @@ def _realization_curves(
 ) -> list[list[EntropyCurve]]:
     """Per policy, the curve of each realization r of spec; its signal is generated
     once, with the seed derived from (seed, index, r), and every policy sees it."""
+    if realizations < 1:
+        raise DimensionError(f"need at least one realization, got {realizations}")
     curves: list[list[EntropyCurve]] = [[] for _ in policies]
     for r in range(realizations):
         spec_r = replace(spec, seed=realization_seed(seed, index, r))
@@ -234,8 +239,6 @@ def run_noise_experiment(
     derived from (seed, i, r), so reports are reproducible and conditions are
     independent of each other's ordering.
     """
-    if realizations < 1:
-        raise DimensionError(f"need at least one realization, got {realizations}")
     curves = []
     for i, (cond_label, spec) in enumerate(conditions):
         (per_real,) = _realization_curves(spec, i, (graph_policy,), config, realizations, seed)
@@ -264,8 +267,6 @@ def compare_graph_policies(
     Both policies see the same realizations; the summary carries the per-scale
     mean absolute entropy difference between them.
     """
-    if realizations < 1:
-        raise DimensionError(f"need at least one realization, got {realizations}")
     theo_curves, est_curves = _realization_curves(
         spec, 0, ("theoretical", "estimated"), config, realizations, seed
     )

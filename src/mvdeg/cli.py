@@ -1,7 +1,8 @@
 """Command-line interface: CSV/JSON in, entropy curves and reports out.
 
-Exit codes: 0 success, 1 usage, 2 malformed input file, 3 dimension mismatch,
-4 numeric refusal (degenerate data, non-PSD correlation, capacity cap).
+Exit codes: 0 success, 1 usage or a file that cannot be opened, 2 malformed
+input file, 3 dimension mismatch, 4 numeric refusal (degenerate data, non-PSD
+correlation, capacity cap).
 """
 
 from __future__ import annotations
@@ -328,6 +329,10 @@ def main(argv: list[str] | None = None) -> int:
     except MvdegError as err:
         print(f"mvdeg: {err}", file=sys.stderr)
         return 4
+    except OSError as err:  # a path that cannot be opened, read or written
+        where = "" if err.filename is None else f": {err.filename}"
+        print(f"mvdeg: {err.strerror or err}{where}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ import math
 import os
 from collections.abc import Callable, Iterable, Mapping
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain, combinations
 
 import numpy as np
@@ -417,7 +417,7 @@ def classical_mvde(
     if length < m + 1:
         raise ScaleUndefinedError(tau, length)
     windows = length - m + 1
-    count = windows * math.comb(m * coarse.p, m)
+    count = pattern_counts(length, coarse.p, m)[0]
     if count > pattern_cap:
         raise CapacityError(count, pattern_cap)
 
@@ -461,18 +461,12 @@ def univariate_mde(
     channel: np.ndarray,
     config: EmbeddingConfig,
 ) -> EntropyCurve:
-    """Univariate multiscale dispersion entropy of one 1-D series.
-
-    Coincides pattern-for-pattern with mvdeg_curve on a single-channel signal
-    and the edgeless graph: with one channel and no neighbours, hop column k is
-    exactly the k-step time shift.
+    """Univariate multiscale dispersion entropy of one 1-D series: mvdeg_curve on
+    the single-channel signal and the edgeless graph, relabelled "mde". With one
+    channel and no neighbours, hop column k is exactly the k-step time shift.
     """
     x = np.asarray(channel, dtype=float)
     if x.ndim != 1:
         raise DimensionError(f"expected a 1-D channel, got shape {x.shape}")
-
-    def entropy_at(tau: int) -> float:
-        coarse = coarse_grain(MultivariateSignal(x[None, :]), tau)
-        return univariate_single_scale(coarse.values[0], config.m, config.c)[0]
-
-    return _curve(x.size, config, entropy_at, "mde", build_zero_graph(1).describe())
+    curve = mvdeg_curve(MultivariateSignal(x[None, :]), build_zero_graph(1), config)
+    return replace(curve, method="mde")

@@ -66,6 +66,8 @@ def _wgn_channel(rng: np.random.Generator, n_samples: int) -> np.ndarray:
 
 def _one_over_f_channel(rng: np.random.Generator, n_samples: int) -> np.ndarray:
     """White noise reshaped to a 1/f power spectrum, standardized."""
+    if n_samples < 4:
+        raise DimensionError(f"1/f synthesis needs at least 4 samples, got {n_samples}")
     white = rng.standard_normal(n_samples)
     spectrum = np.fft.rfft(white)
     idx = np.arange(1, spectrum.size)
@@ -89,8 +91,6 @@ def gen_one_over_f(p: int, n_samples: int, seed: int) -> MultivariateSignal:
     """p channels of 1/f noise, each standardized to mean 0 and variance 1."""
     if p < 1:
         raise DimensionError(f"channel count must be >= 1, got {p}")
-    if n_samples < 4:
-        raise DimensionError(f"1/f synthesis needs at least 4 samples, got {n_samples}")
     values = np.stack([_one_over_f_channel(_rng(seed, k), n_samples) for k in range(p)])
     return MultivariateSignal(values)
 

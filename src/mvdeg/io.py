@@ -19,7 +19,7 @@ import warnings
 from contextlib import contextmanager
 from dataclasses import asdict, astuple, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -81,13 +81,28 @@ def read_signal_csv(path: str | Path) -> MultivariateSignal:
     return MultivariateSignal(values.T, labels=labels)
 
 
-def _signal_labels(reader, path: str | Path) -> tuple[str, ...]:
-    """The header row's channel names, stripped; every one must be non-empty."""
+def _csv_header(reader, path: str | Path) -> list[str]:
+    """A CSV's first row; a file without one is a ParseError."""
     try:
-        header = next(reader)
+        return next(reader)
     except StopIteration:
         raise ParseError(f"{path}: empty file") from None
-    labels = tuple(name.strip() for name in header)
+
+
+def _csv_rows(reader, path: str | Path, width: int) -> Iterator[tuple[int, list[str]]]:
+    """(line number, row) for each non-blank row after the header; a row of other
+    than width cells is a ParseError naming its line."""
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != width:
+            raise ParseError(f"{path}: expected {width} columns, got {len(row)}", line=line_no)
+        yield line_no, row
+
+
+def _signal_labels(reader, path: str | Path) -> tuple[str, ...]:
+    """The header row's channel names, stripped; every one must be non-empty."""
+    labels = tuple(name.strip() for name in _csv_header(reader, path))
     if not labels or any(not name for name in labels):
         raise ParseError(f"{path}: header must name every channel", line=1)
     return labels
@@ -99,14 +114,7 @@ def _read_signal_cells(path: str | Path) -> MultivariateSignal:
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         labels = _signal_labels(reader, path)
-        width = len(labels)
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != width:
-                raise ParseError(
-                    f"{path}: expected {width} columns, got {len(row)}", line=line_no
-                )
+        for line_no, row in _csv_rows(reader, path, len(labels)):
             parsed = []
             for col, cell in enumerate(row, start=1):
                 try:
@@ -140,19 +148,9 @@ def read_station_csv(path: str | Path) -> StationLayout:
     coords: list[tuple[float, float]] = []
     with _utf8(path), open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        if [h.strip().lower() for h in header] != ["station_id", "x", "y"]:
+        if [h.strip().lower() for h in _csv_header(reader, path)] != ["station_id", "x", "y"]:
             raise ParseError(f"{path}: header must be station_id,x,y", line=1)
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ParseError(
-                    f"{path}: expected 3 columns, got {len(row)}", line=line_no
-                )
+        for line_no, row in _csv_rows(reader, path, 3):
             try:
                 coords.append((float(row[1]), float(row[2])))
             except ValueError:
@@ -186,11 +184,20 @@ def graph_to_json(graph: WeightedGraph) -> dict:
 
 
 def _float_array(value, source: str | Path) -> np.ndarray:
-    """A JSON array as floats; a ragged or non-numeric one is a ParseError naming source."""
+    """A JSON array as floats; a ragged one, or one with a leaf that is not a JSON
+    number (a string or boolean, say), is a ParseError naming source."""
+    message = f"{source}: expected a rectangular array of numbers"
+    leaves = [value]
+    while leaves:
+        leaf = leaves.pop()
+        if isinstance(leaf, list):
+            leaves.extend(leaf)
+        elif isinstance(leaf, bool) or not isinstance(leaf, (int, float)):
+            raise ParseError(message)
     try:
         return np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ParseError(f"{source}: expected a rectangular array of numbers") from None
+    except (ValueError, OverflowError):
+        raise ParseError(message) from None
 
 
 def graph_from_json(obj: dict, source: str = "graph JSON") -> WeightedGraph:
@@ -199,12 +206,15 @@ def graph_from_json(obj: dict, source: str = "graph JSON") -> WeightedGraph:
     missing = {"n", "directed", "weights"} - set(obj)
     if missing:
         raise ParseError(f"graph JSON lacks keys: {sorted(missing)}")
+    n, directed = obj["n"], obj["directed"]
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ParseError(f"{source}: n must be an integer, got {json.dumps(n)}")
+    if not isinstance(directed, bool):
+        raise ParseError(f"{source}: directed must be true or false, got {json.dumps(directed)}")
     weights = _float_array(obj["weights"], f"{source} weights")
-    if weights.shape != (obj["n"], obj["n"]):
-        raise ParseError(
-            f"graph JSON declares n={obj['n']} but weights have shape {weights.shape}"
-        )
-    return WeightedGraph(weights, directed=bool(obj["directed"]))
+    if weights.shape != (n, n):
+        raise ParseError(f"graph JSON declares n={n} but weights have shape {weights.shape}")
+    return WeightedGraph(weights, directed=directed)
 
 
 def read_graph_json(path: str | Path) -> WeightedGraph:

@@ -481,3 +481,50 @@ def test_gaussian_usage_error_names_the_flag_given(tmp_path, capsys, command, fl
     assert capsys.readouterr().err.endswith(
         f"mvdeg: error: {flag} gaussian requires --coords, --sigma1-sq and --sigma2\n"
     )
+
+
+def test_generate_mixture_with_a_short_one_over_f_channel_is_dimension_error(tmp_path, capsys):
+    out = str(tmp_path / "m.csv")
+    assert run("generate", "--kind", "mixture", "--q", "0", "--n", "3", "--out", out) == 3
+    assert "1/f synthesis needs at least 4 samples, got 3" in capsys.readouterr().err
+    assert not (tmp_path / "m.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, missing",
+    [
+        (("entropy", "--input", "nofile.csv", "--out", "a.csv"), "nofile.csv"),
+        (
+            ("graph", "--kind", "gaussian", "--coords", "nofile.csv",
+             "--sigma1-sq", "1.0", "--sigma2", "1.0", "--out", "g.json"),
+            "nofile.csv",
+        ),
+        (("entropy", "--input", "one.csv", "--out", "/nonexistent/dir/a.csv"), "/nonexistent/dir/a.csv"),
+    ],
+    ids=["input", "coords", "out"],
+)
+def test_path_that_cannot_be_opened_is_one_line_and_exit_1(tmp_path, monkeypatch, capsys, argv, missing):
+    monkeypatch.chdir(tmp_path)
+    write_golden_signal(tmp_path / "one.csv")
+    assert run(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"mvdeg: No such file or directory: {missing}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"n": 1, "directed": "false", "weights": [[0.0]]}', 'directed must be true or false, got "false"'),
+        ('{"n": true, "directed": false, "weights": [[0.0]]}', "n must be an integer, got true"),
+        ('{"n": 1, "directed": false, "weights": [["0"]]}', "expected a rectangular array of numbers"),
+    ],
+)
+def test_mistyped_graph_json_is_parse_error(tmp_path, monkeypatch, capsys, text, message):
+    monkeypatch.chdir(tmp_path)
+    write_golden_signal(tmp_path / "one.csv")
+    (tmp_path / "g.json").write_text(text)
+    assert run("entropy", "--input", "one.csv", "--graph", "g.json", "--m", "2", "--out", "c.csv") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("mvdeg: parse error: g.json") and err.endswith(f"{message}\n")
+    assert err.count("\n") == 1

@@ -1,0 +1,140 @@
+"""Byte contract of the command line: stdout, stderr, exit code and written files.
+
+Each case runs main(argv) in process, in a fresh directory that holds copies of
+data/cli_contract/inputs, and must reproduce data/cli_contract/<case>/ exactly:
+``stdout``, ``stderr``, ``exit_code`` and ``files/<path>`` for every file the
+command wrote. Bench reports carry wall times and the environment, so those are
+masked on both sides. The expected data is written by make_cli_contract.py,
+which this test never calls; regenerating it changes what the test pins. Like
+the float.hex goldens, the data is pinned to the installed numpy version.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import csv
+import io
+import json
+import os
+import re
+import shutil
+from pathlib import Path
+
+import pytest
+
+from mvdeg.cli import main
+
+DATA = Path(__file__).resolve().parent / "data" / "cli_contract"
+INPUTS = DATA / "inputs"
+
+_GAUSSIAN = ("graph", "--kind", "gaussian", "--sigma1-sq", "1.0", "--sigma2", "2.5", "--out", "g.json")
+
+CASES: dict[str, tuple[str, ...]] = {
+    "entropy-mde": (
+        "entropy", "--input", "one.csv", "--method", "mde", "--m", "3", "--out", "curve.csv",
+    ),
+    "entropy-mde-two-channels": (
+        "entropy", "--input", "two.csv", "--method", "mde", "--out", "curve.csv",
+    ),
+    "generate-mixture": (
+        "generate", "--kind", "mixture", "--q", "1", "--n", "64", "--seed", "3", "--out", "mix.csv",
+    ),
+    "generate-mixture-white-n3": (
+        "generate", "--kind", "mixture", "--q", "3", "--n", "3", "--out", "mix.csv",
+    ),
+    "ensemble-mixture": (
+        "ensemble", "--experiment", "mixture", "--n", "120", "--realizations", "2",
+        "--m", "3", "--max-scale", "4", "--seed", "5", "--out", "ens",
+    ),
+    "ensemble-mixture-no-realizations": (
+        "ensemble", "--experiment", "mixture", "--realizations", "0", "--out", "ens",
+    ),
+    "ensemble-graph-compare-no-realizations": (
+        "ensemble", "--experiment", "graph-compare", "--realizations", "0", "--out", "ens",
+    ),
+    "bench-refused-classical": (
+        "bench", "--Ns", "20,200", "--p", "2", "--m", "3", "--cap", "1000", "--out", "bench",
+    ),
+    "graph-gaussian": (*_GAUSSIAN, "--coords", "stations.csv"),
+    "graph-gaussian-blank-lines": (*_GAUSSIAN, "--coords", "stations_blank.csv"),
+    "graph-gaussian-1_0-cell": (*_GAUSSIAN, "--coords", "stations_1_0.csv"),
+    "graph-gaussian-empty-file": (*_GAUSSIAN, "--coords", "empty.csv"),
+    "graph-gaussian-wrong-columns": (*_GAUSSIAN, "--coords", "stations_columns.csv"),
+    "entropy-empty-file": ("entropy", "--input", "empty.csv", "--out", "curve.csv"),
+    "entropy-header-only": ("entropy", "--input", "header_only.csv", "--out", "curve.csv"),
+    "entropy-wrong-columns": ("entropy", "--input", "signal_columns.csv", "--out", "curve.csv"),
+    "entropy-blank-lines": (
+        "entropy", "--input", "signal_blank.csv", "--m", "2", "--max-scale", "3", "--out", "curve.csv",
+    ),
+    "entropy-1_0-cell": (
+        "entropy", "--input", "signal_1_0.csv", "--m", "2", "--max-scale", "3", "--out", "curve.csv",
+    ),
+}
+
+_MASK = "<masked>"
+_WALL_TIME = re.compile(r"\d+\.\d{6}s")
+
+
+def _mask_bench_file(name: str, data: bytes) -> bytes:
+    """A bench report with its environment and every measured wall time masked."""
+    if name.endswith(".json"):
+        report = json.loads(data)
+        report["environment"] = _MASK
+        for cell in report["cells"]:
+            if cell["wall_time_s"] is not None:
+                cell["wall_time_s"] = _MASK
+        return (json.dumps(report, indent=1) + "\n").encode()
+    rows = list(csv.reader(io.StringIO(data.decode(), newline="")))
+    column = rows[0].index("wall_time_s")
+    for row in rows[1:]:
+        if row[column]:
+            row[column] = _MASK
+    out = io.StringIO(newline="")
+    csv.writer(out).writerows(rows)
+    return out.getvalue().encode()
+
+
+def run_case(argv: tuple[str, ...], workdir: Path) -> tuple[int, str, str, dict[str, bytes]]:
+    """Run main(argv) in workdir, seeded with the inputs; return the exit code,
+    stdout, stderr and {relative path: bytes} of every file it wrote."""
+    inputs = set()
+    for source in sorted(INPUTS.iterdir()):
+        shutil.copyfile(source, workdir / source.name)
+        inputs.add(source.name)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(list(argv))
+    finally:
+        os.chdir(cwd)
+    files = {
+        path.relative_to(workdir).as_posix(): path.read_bytes()
+        for path in sorted(workdir.rglob("*"))
+        if path.is_file() and path.relative_to(workdir).as_posix() not in inputs
+    }
+    out = stdout.getvalue()
+    if argv[0] == "bench":
+        out = _WALL_TIME.sub(_MASK, out)
+        files = {name: _mask_bench_file(name, data) for name, data in files.items()}
+    return code, out, stderr.getvalue(), files
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cli_output_matches_contract(case, tmp_path):
+    expected = DATA / case
+    code, out, err, files = run_case(CASES[case], tmp_path)
+    assert code == int((expected / "exit_code").read_text())
+    assert out == (expected / "stdout").read_text()
+    assert err == (expected / "stderr").read_text()
+    stored = expected / "files"
+    want = sorted(p.relative_to(stored).as_posix() for p in stored.rglob("*") if p.is_file())
+    assert sorted(files) == want
+    for name in want:
+        assert files[name].decode() == (stored / name).read_bytes().decode()
+
+
+def test_every_case_has_data_and_every_data_dir_a_case():
+    dirs = {p.name for p in DATA.iterdir() if p.is_dir() and p != INPUTS}
+    assert dirs == set(CASES)

@@ -384,6 +384,17 @@ def test_reduction_identity_bitwise():
             assert h_graph.counts == h_mde.counts
 
 
+@pytest.mark.parametrize("x", [[1.0], [], [math.nan, 1.0, 2.0]], ids=["one", "empty", "nan"])
+def test_univariate_mde_refuses_what_the_one_channel_curve_refuses(x):
+    config = EmbeddingConfig(m=2, c=3, max_scale=3)
+    channel = np.array(x, dtype=float)
+    with pytest.raises(DimensionError) as want:
+        mvdeg_curve(MultivariateSignal(channel[None, :]), build_zero_graph(1), config)
+    with pytest.raises(DimensionError) as got:
+        univariate_mde(channel, config)
+    assert str(got.value) == str(want.value)
+
+
 # ── counts, histograms, entropy function ─────────────────────────────────────
 
 

@@ -168,6 +168,13 @@ def test_mixture_rejects_bad_index():
             gen_mixture_F(q, 64, seed=0)
 
 
+def test_mixture_one_over_f_channels_need_four_samples():
+    for q in (0, 1, 2):
+        with pytest.raises(DimensionError, match="1/f synthesis needs at least 4 samples, got 3"):
+            gen_mixture_F(q, 3, 0)
+    assert gen_mixture_F(3, 3, 0).values.shape == (3, 3)
+
+
 # ── spec-driven dispatch ─────────────────────────────────────────────────────
 
 

@@ -313,6 +313,36 @@ def test_graph_json_size_mismatch():
         graph_from_json({"n": 3, "directed": False, "weights": [[0.0, 1.0], [1.0, 0.0]]})
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("n", True, "g.json: n must be an integer, got true"),
+        ("n", 1.0, "g.json: n must be an integer, got 1.0"),
+        ("n", "1", 'g.json: n must be an integer, got "1"'),
+        ("directed", "false", 'g.json: directed must be true or false, got "false"'),
+        ("directed", 0, "g.json: directed must be true or false, got 0"),
+        ("weights", [["0"]], "g.json weights: expected a rectangular array of numbers"),
+        ("weights", [[False]], "g.json weights: expected a rectangular array of numbers"),
+        ("weights", [[None]], "g.json weights: expected a rectangular array of numbers"),
+        ("weights", [[10 ** 400]], "g.json weights: expected a rectangular array of numbers"),
+    ],
+)
+def test_graph_json_fields_must_have_their_json_types(tmp_path, key, value, message):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"n": 1, "directed": False, "weights": [[0.0]], key: value}))
+    with pytest.raises(ParseError) as err:
+        read_graph_json(path)
+    assert str(err.value) == f"{tmp_path}/{message}"
+
+
+@pytest.mark.parametrize("text", ['[["1", 0.5], [0.5, 1]]', "[[true, 0.5], [0.5, 1]]"])
+def test_correlation_json_refuses_strings_and_booleans(tmp_path, text):
+    path = tmp_path / "corr.json"
+    path.write_text(text)
+    with pytest.raises(ParseError, match="expected a rectangular array of numbers"):
+        read_correlation_json(path)
+
+
 def test_graph_json_extra_keys_ignored():
     obj = {"n": 1, "directed": False, "weights": [[0.0]], "comment": "spare"}
     assert graph_from_json(obj).n == 1

@@ -1,11 +1,16 @@
 """Static checks of the package source."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
 
+import mvdeg
+
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "mvdeg"
+PERFBENCH = SOURCE.parent.parent / "perfbench"
 
 
 def _private_definitions(tree: ast.Module) -> dict[str, int]:
@@ -99,3 +104,57 @@ def test_oracles_share_no_code_with_the_path_they_check():
         reached |= new
         todo.extend(new)
     assert {"kron", "entropy"}.isdisjoint(reached)
+
+
+def _benchmark_names() -> set[str]:
+    """Every <name> that perfbench reads as mvdeg.<name>, off the module or a
+    variable or attribute that holds it (``mvdeg.cli``, ``self.mvdeg.generate``)."""
+    names = set()
+    for path in PERFBENCH.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Attribute):
+                continue
+            owner = node.value
+            if (isinstance(owner, ast.Name) and owner.id == "mvdeg") or (
+                isinstance(owner, ast.Attribute) and owner.attr == "mvdeg"
+            ):
+                names.add(node.attr)
+    return names
+
+
+def _benchmark_layers() -> tuple[str, ...]:
+    """The LAYERS tuple of perfbench/tracer.py, read without importing it."""
+    for node in ast.parse((PERFBENCH / "tracer.py").read_text()).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["LAYERS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracer.py defines no LAYERS")
+
+
+def _layer_resolves(layer: str) -> bool:
+    """Whether the tracer can wrap a layer: a function or classmethod defined on
+    the module or class its dotted path names under mvdeg."""
+    module, *path = layer.split(".")
+    try:
+        owner = importlib.import_module(f"mvdeg.{module}")
+        for name in path[:-1]:
+            owner = getattr(owner, name)
+        raw = vars(owner)[path[-1]]
+    except (ImportError, AttributeError, KeyError):
+        return False
+    return isinstance(raw, classmethod) or callable(raw)
+
+
+def test_every_name_the_benchmark_uses_resolves():
+    names = _benchmark_names()
+    assert names
+    missing = [
+        name for name in sorted(names)
+        if not hasattr(mvdeg, name) and importlib.util.find_spec(f"mvdeg.{name}") is None
+    ]
+    assert missing == []
+
+
+def test_every_traced_layer_resolves():
+    layers = _benchmark_layers()
+    assert layers
+    assert [layer for layer in layers if not _layer_resolves(layer)] == []
