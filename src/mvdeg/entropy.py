@@ -396,6 +396,13 @@ def pattern_counts(n_samples: int, p: int, m: int) -> tuple[int, int]:
     return classical, graph_bound
 
 
+def _check_capacity(n_samples: int, p: int, m: int, pattern_cap: int) -> None:
+    """CapacityError when classical MvDE would enumerate more than pattern_cap patterns."""
+    count = pattern_counts(n_samples, p, m)[0]
+    if count > pattern_cap:
+        raise CapacityError(count, pattern_cap)
+
+
 def classical_mvde(
     signal: MultivariateSignal,
     m: int,
@@ -417,9 +424,7 @@ def classical_mvde(
     if length < m + 1:
         raise ScaleUndefinedError(tau, length)
     windows = length - m + 1
-    count = pattern_counts(length, coarse.p, m)[0]
-    if count > pattern_cap:
-        raise CapacityError(count, pattern_cap)
+    _check_capacity(length, coarse.p, m, pattern_cap)
 
     # one class view per window position, in the order above
     lagged = [row[lag : lag + windows] for row in ncdf_map(coarse, c) for lag in range(m)]
@@ -435,8 +440,12 @@ def classical_mvde_curve(
 ) -> EntropyCurve:
     """Classical multivariate dispersion entropy versus scale.
 
-    Every defined scale must fit pattern_cap, or CapacityError is raised.
+    Every defined scale must fit pattern_cap, or CapacityError is raised. The
+    pattern count falls as tau grows, so tau = 1, when defined, is checked
+    before any scale runs.
     """
+    if signal.n_samples >= config.m + 1:
+        _check_capacity(signal.n_samples, signal.p, config.m, pattern_cap)
 
     def entropy_at(tau: int) -> float:
         return classical_mvde(signal, config.m, config.c, tau=tau, pattern_cap=pattern_cap)[0]

@@ -9,6 +9,8 @@ generated data so downstream golden statistics can be pinned to it.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,76 +25,90 @@ GENERATOR_VERSION = "pcg64-v1"
 GENERATOR_KINDS = ("wgn", "one_over_f", "correlated", "mixture")
 
 
+def _check_int(name: str, value, rule: str, least: int, most: float = math.inf) -> None:
+    """value must be an integer, not a bool, in least..most; rule says the range."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DimensionError(f"{name} must be an integer, got {value!r}")
+    if not least <= value <= most:
+        raise DimensionError(rule)
+
+
+def _check_seed(seed) -> None:
+    _check_int("seed", seed, f"seed must be >= 0, got {seed}", 0)
+
+
+def _check_correlation(corr, p: int) -> None:
+    """corr must convert to a finite, symmetric, unit-diagonal (p, p) float array."""
+    try:
+        arr = None if corr is None else np.asarray(corr, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # ragged, or not numbers
+        arr = None
+    if arr is None or arr.shape != (p, p):
+        got = "no numeric array" if arr is None else arr.shape
+        raise DimensionError(f"correlation must be ({p}, {p}), got {got}")
+    if not np.all(np.isfinite(arr)):
+        raise DimensionError("correlation entries must be finite")
+    if np.any(np.abs(arr - arr.T) > 1e-12):
+        raise DimensionError("correlation matrix must be symmetric")
+    if np.any(np.abs(np.diag(arr) - 1.0) > 1e-12):
+        raise DimensionError("correlation matrix must have unit diagonal")
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """Recipe for one synthetic signal; serialized next to generated data."""
+    """Recipe for one synthetic signal, serialized next to generated data; params
+    holds "q" (white channels) of a mixture or "corr" of correlated ones. Construction
+    checks every rule but one: generate() refuses a non-PSD corr as it factors it."""
 
     kind: str
     p: int
     n_samples: int
     seed: int
     params: dict = field(default_factory=dict)
-    version: str = GENERATOR_VERSION
+    version: str = field(default=GENERATOR_VERSION, init=False)
 
     def __post_init__(self):
         if self.kind not in GENERATOR_KINDS:
             raise DimensionError(
                 f"unknown generator kind {self.kind!r}; expected one of {GENERATOR_KINDS}"
             )
-        if self.p < 1:
-            raise DimensionError(f"channel count must be >= 1, got {self.p}")
-        if self.n_samples < 2:
-            raise DimensionError(f"need at least 2 samples, got {self.n_samples}")
+        _check_int("p", self.p, f"channel count must be >= 1, got {self.p}", 1)
+        n = self.n_samples
+        _check_int("n_samples", n, f"need at least 2 samples, got {n}", 2)
+        if self.kind == "mixture":
+            if self.p != 3:
+                raise DimensionError(f"mixture signals are trivariate, got p={self.p}")
+            q = self.params.get("q")
+            _check_int("q", q, f"mixture index must be in 0..3, got {q}", 0, 3)
+        if self.kind == "correlated":
+            _check_correlation(self.params.get("corr"), self.p)
+        _check_seed(self.seed)
+        if _white_channels(self) < self.p and n < 4:
+            raise DimensionError(f"1/f synthesis needs at least 4 samples, got {n}")
 
 
-def _seed_sequence(seed: int, key: tuple[int, ...]) -> np.random.SeedSequence:
-    if seed < 0:
-        raise DimensionError(f"seed must be >= 0, got {seed}")
-    return np.random.SeedSequence(seed, spawn_key=key)
-
-
-def _rng(seed: int, *key: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(_seed_sequence(seed, key)))
+def _white_channels(spec: GeneratorSpec) -> int:
+    """Channels 0..k-1 of spec are white and the rest 1/f; this returns k."""
+    if spec.kind == "mixture":
+        return spec.params["q"]
+    return 0 if spec.kind == "one_over_f" else spec.p
 
 
 def realization_seed(seed: int, *key: int) -> int:
     """Derived integer seed for one realization of an ensemble."""
-    return int(_seed_sequence(seed, key).generate_state(1, np.uint64)[0])
+    _check_seed(seed)
+    return int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1, np.uint64)[0])
 
 
-def _wgn_channel(rng: np.random.Generator, n_samples: int) -> np.ndarray:
-    return rng.standard_normal(n_samples)
-
-
-def _one_over_f_channel(rng: np.random.Generator, n_samples: int) -> np.ndarray:
+def _one_over_f(white: np.ndarray) -> np.ndarray:
     """White noise reshaped to a 1/f power spectrum, standardized."""
-    if n_samples < 4:
-        raise DimensionError(f"1/f synthesis needs at least 4 samples, got {n_samples}")
-    white = rng.standard_normal(n_samples)
     spectrum = np.fft.rfft(white)
-    idx = np.arange(1, spectrum.size)
-    spectrum[1:] *= idx ** -0.5
+    spectrum[1:] *= np.arange(1, spectrum.size) ** -0.5
     spectrum[0] = 0.0  # no DC component
-    if n_samples % 2 == 0:
+    if white.size % 2 == 0:
         spectrum[-1] = spectrum[-1].real  # Nyquist bin of a real signal
-    x = np.fft.irfft(spectrum, n_samples)
+    x = np.fft.irfft(spectrum, white.size)
     return (x - x.mean()) / x.std()
-
-
-def gen_wgn(p: int, n_samples: int, seed: int) -> MultivariateSignal:
-    """p channels of i.i.d. standard Gaussian noise."""
-    if p < 1:
-        raise DimensionError(f"channel count must be >= 1, got {p}")
-    values = np.stack([_wgn_channel(_rng(seed, k), n_samples) for k in range(p)])
-    return MultivariateSignal(values)
-
-
-def gen_one_over_f(p: int, n_samples: int, seed: int) -> MultivariateSignal:
-    """p channels of 1/f noise, each standardized to mean 0 and variance 1."""
-    if p < 1:
-        raise DimensionError(f"channel count must be >= 1, got {p}")
-    values = np.stack([_one_over_f_channel(_rng(seed, k), n_samples) for k in range(p)])
-    return MultivariateSignal(values)
 
 
 def _psd_lower_factor(corr: np.ndarray, tol: float = 1e-10) -> np.ndarray:
@@ -119,57 +135,38 @@ def _psd_lower_factor(corr: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     return lower
 
 
-def gen_correlated(
-    p: int, n_samples: int, corr: np.ndarray, seed: int
-) -> MultivariateSignal:
-    """Gaussian channels with the given correlation matrix.
+def generate(spec: GeneratorSpec) -> MultivariateSignal:
+    """Build the signal a GeneratorSpec describes: channel k, white or 1/f, from
+    substream (seed, k); a correlated signal is L @ white, L L^T = corr."""
+    substreams = np.random.SeedSequence(spec.seed).spawn(spec.p)  # spawn_key (k,) for channel k
+    noise = [np.random.default_rng(s).standard_normal(spec.n_samples) for s in substreams]
+    white = _white_channels(spec)
+    values = np.stack(noise[:white] + [_one_over_f(x) for x in noise[white:]])
+    if spec.kind == "correlated":
+        values = _psd_lower_factor(np.asarray(spec.params["corr"], dtype=float)) @ values
+    return MultivariateSignal(values)
 
-    Accepts singular positive-semidefinite matrices (an off-diagonal 1 makes
-    the two channels identical); a non-PSD matrix raises FactorizationError
-    naming the offending leading minor.
-    """
-    corr = np.asarray(corr, dtype=float)
-    if corr.shape != (p, p):
-        raise DimensionError(f"correlation must be ({p}, {p}), got {corr.shape}")
-    if not np.all(np.isfinite(corr)):
-        raise DimensionError("correlation entries must be finite")
-    if np.any(np.abs(corr - corr.T) > 1e-12):
-        raise DimensionError("correlation matrix must be symmetric")
-    if np.any(np.abs(np.diag(corr) - 1.0) > 1e-12):
-        raise DimensionError("correlation matrix must have unit diagonal")
-    lower = _psd_lower_factor(corr)
-    base = np.stack([_wgn_channel(_rng(seed, k), n_samples) for k in range(p)])
-    return MultivariateSignal(lower @ base)
+
+def gen_wgn(p: int, n_samples: int, seed: int) -> MultivariateSignal:
+    """p channels of i.i.d. standard Gaussian noise."""
+    return generate(GeneratorSpec("wgn", p, n_samples, seed))
+
+
+def gen_one_over_f(p: int, n_samples: int, seed: int) -> MultivariateSignal:
+    """p channels of 1/f noise, each standardized to mean 0 and variance 1."""
+    return generate(GeneratorSpec("one_over_f", p, n_samples, seed))
+
+
+def gen_correlated(p: int, n_samples: int, corr: np.ndarray, seed: int) -> MultivariateSignal:
+    """Gaussian channels with the given correlation matrix. A singular PSD matrix is
+    accepted (an off-diagonal 1 makes two channels identical); a non-PSD matrix
+    raises FactorizationError naming the offending leading minor."""
+    return generate(GeneratorSpec("correlated", p, n_samples, seed, {"corr": corr}))
 
 
 def gen_mixture_F(q: int, n_samples: int, seed: int) -> MultivariateSignal:
     """Trivariate mixture F(q): q white channels followed by 3 - q 1/f channels."""
-    if not 0 <= q <= 3:
-        raise DimensionError(f"mixture index must be in 0..3, got {q}")
-    channels = []
-    for k in range(3):
-        rng = _rng(seed, k)
-        if k < q:
-            channels.append(_wgn_channel(rng, n_samples))
-        else:
-            channels.append(_one_over_f_channel(rng, n_samples))
-    return MultivariateSignal(np.stack(channels))
-
-
-def generate(spec: GeneratorSpec) -> MultivariateSignal:
-    """Build the signal a GeneratorSpec describes."""
-    if spec.kind == "wgn":
-        return gen_wgn(spec.p, spec.n_samples, spec.seed)
-    if spec.kind == "one_over_f":
-        return gen_one_over_f(spec.p, spec.n_samples, spec.seed)
-    if spec.kind == "correlated":
-        corr = np.asarray(spec.params["corr"], dtype=float)
-        return gen_correlated(spec.p, spec.n_samples, corr, spec.seed)
-    if spec.kind == "mixture":
-        if spec.p != 3:
-            raise DimensionError(f"mixture signals are trivariate, got p={spec.p}")
-        return gen_mixture_F(int(spec.params["q"]), spec.n_samples, spec.seed)
-    raise DimensionError(f"unknown generator kind {spec.kind!r}")
+    return generate(GeneratorSpec("mixture", 3, n_samples, seed, {"q": q}))
 
 
 def ert_features(voltages: np.ndarray, baseline: np.ndarray) -> MultivariateSignal:

@@ -90,9 +90,12 @@ def _csv_header(reader, path: str | Path) -> list[str]:
 
 
 def _csv_rows(reader, path: str | Path, width: int) -> Iterator[tuple[int, list[str]]]:
-    """(line number, row) for each non-blank row after the header; a row of other
+    """(line number, row) for each non-blank row after the header, numbered by the
+    physical line the row starts on (a quoted cell may span lines); a row of other
     than width cells is a ParseError naming its line."""
-    for line_no, row in enumerate(reader, start=2):
+    end = reader.line_num
+    for row in reader:
+        line_no, end = end + 1, reader.line_num
         if not row:
             continue
         if len(row) != width:
@@ -202,10 +205,10 @@ def _float_array(value, source: str | Path) -> np.ndarray:
 
 def graph_from_json(obj: dict, source: str = "graph JSON") -> WeightedGraph:
     if not isinstance(obj, dict):
-        raise ParseError("graph JSON must be an object")
+        raise ParseError(f"{source}: must be an object")
     missing = {"n", "directed", "weights"} - set(obj)
     if missing:
-        raise ParseError(f"graph JSON lacks keys: {sorted(missing)}")
+        raise ParseError(f"{source}: lacks keys: {sorted(missing)}")
     n, directed = obj["n"], obj["directed"]
     if isinstance(n, bool) or not isinstance(n, int):
         raise ParseError(f"{source}: n must be an integer, got {json.dumps(n)}")
@@ -213,7 +216,7 @@ def graph_from_json(obj: dict, source: str = "graph JSON") -> WeightedGraph:
         raise ParseError(f"{source}: directed must be true or false, got {json.dumps(directed)}")
     weights = _float_array(obj["weights"], f"{source} weights")
     if weights.shape != (n, n):
-        raise ParseError(f"graph JSON declares n={n} but weights have shape {weights.shape}")
+        raise ParseError(f"{source}: declares n={n} but weights have shape {weights.shape}")
     return WeightedGraph(weights, directed=directed)
 
 

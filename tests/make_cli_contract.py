@@ -39,6 +39,10 @@ def write_inputs() -> None:
     (INPUTS / "signal_columns.csv").write_text("a,b\n1.0,2.0\n3.0,4.0,5.0\n")
     (INPUTS / "header_only.csv").write_text("a,b\n")
     (INPUTS / "empty.csv").write_text("")
+    (INPUTS / "corr.json").write_text("[[1.0, 0.6, 0.2], [0.6, 1.0, 0.4], [0.2, 0.4, 1.0]]\n")
+    (INPUTS / "corr_singular.json").write_text("[[1.0, 1.0], [1.0, 1.0]]\n")
+    (INPUTS / "corr_asymmetric.json").write_text("[[1.0, 0.2], [0.3, 1.0]]\n")
+    (INPUTS / "corr_not_psd.json").write_text("[[1.0, 1.2], [1.2, 1.0]]\n")
     stations = "station_id,x,y\ns1,0.0,0.0\ns2,1.0,0.0\ns3,0.0,2.0\ns4,3.0,1.5\n"
     (INPUTS / "stations.csv").write_text(stations)
     (INPUTS / "stations_blank.csv").write_text(stations.replace("s2,", "\ns2,") + "\n")

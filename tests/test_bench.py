@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import mvdeg.bench as bench
 from mvdeg import (
     DimensionError,
     EmbeddingConfig,
@@ -16,6 +17,7 @@ from mvdeg import (
     ScaleRecord,
     aggregate_curves,
     block_correlation,
+    build_complete_graph,
     compare_graph_policies,
     environment_info,
     gen_correlated,
@@ -64,6 +66,18 @@ def test_timing_sweep_records_capacity_refusal():
     assert refused.wall_time_s is None
     assert refused.classical_patterns == 29 * math.comb(4, 2)
     assert by_method["mvdeg"].outcome == "ok"
+
+
+def test_timing_sweep_times_mvdeg_on_the_complete_graph(monkeypatch):
+    graphs = []
+
+    def record(signal, graph, m, c):
+        graphs.append(graph)
+        return 0.0, None
+
+    monkeypatch.setattr(bench, "mvdeg_single_scale", record)
+    run_timing_sweep((30,), p=3, m=2, c=3, methods=("mvdeg",), repetitions=1, warmup=0)
+    assert graphs and all(g.describe() == build_complete_graph(3).describe() for g in graphs)
 
 
 def test_timing_sweep_validation():

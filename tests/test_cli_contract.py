@@ -42,6 +42,50 @@ CASES: dict[str, tuple[str, ...]] = {
     "generate-mixture-white-n3": (
         "generate", "--kind", "mixture", "--q", "3", "--n", "3", "--out", "mix.csv",
     ),
+    "generate-wgn": ("generate", "--kind", "wgn", "--p", "2", "--n", "16", "--seed", "4", "--out", "sig.csv"),
+    "generate-one-over-f": (
+        "generate", "--kind", "one_over_f", "--p", "2", "--n", "16", "--seed", "5", "--out", "sig.csv",
+    ),
+    "generate-correlated": (
+        "generate", "--kind", "correlated", "--corr", "corr.json", "--n", "16", "--seed", "6",
+        "--out", "sig.csv",
+    ),
+    "generate-correlated-singular": (
+        "generate", "--kind", "correlated", "--corr", "corr_singular.json", "--n", "16",
+        "--out", "sig.csv",
+    ),
+    "generate-mixture-q0": (
+        "generate", "--kind", "mixture", "--q", "0", "--n", "16", "--seed", "7", "--out", "mix.csv",
+    ),
+    "generate-mixture-q5": ("generate", "--kind", "mixture", "--q", "5", "--n", "16", "--out", "mix.csv"),
+    "generate-correlated-asymmetric": (
+        "generate", "--kind", "correlated", "--corr", "corr_asymmetric.json", "--n", "16",
+        "--out", "sig.csv",
+    ),
+    "generate-correlated-not-psd": (
+        "generate", "--kind", "correlated", "--corr", "corr_not_psd.json", "--n", "16",
+        "--out", "sig.csv",
+    ),
+    "generate-negative-seed": (
+        "generate", "--kind", "wgn", "--p", "2", "--n", "16", "--seed", "-1", "--out", "sig.csv",
+    ),
+    "generate-one-sample": ("generate", "--kind", "wgn", "--p", "2", "--n", "1", "--out", "sig.csv"),
+    "generate-one-over-f-n3": (
+        "generate", "--kind", "one_over_f", "--p", "1", "--n", "3", "--out", "sig.csv",
+    ),
+    **{
+        f"ensemble-{experiment}-{policy}": (
+            "ensemble", "--experiment", experiment, "--graph-policy", policy, "--n", "60",
+            "--realizations", "2", "--m", "3", "--max-scale", "3", "--seed", "1",
+            "--degrees", "0.5,2" if experiment == "graph-compare" else "0.9,0.3", "--out", "ens",
+        )
+        for experiment, policies in (
+            ("degrees", ("zero", "estimated")),
+            ("sets", ("zero", "complete")),
+            ("graph-compare", ("zero", "estimated")),
+        )
+        for policy in policies
+    },
     "ensemble-mixture": (
         "ensemble", "--experiment", "mixture", "--n", "120", "--realizations", "2",
         "--m", "3", "--max-scale", "4", "--seed", "5", "--out", "ens",

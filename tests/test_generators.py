@@ -1,7 +1,12 @@
 """Seeded signal generators: determinism, substreams, spectra, correlations."""
 
+import inspect
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.signal import welch
 
 from mvdeg import (
@@ -17,6 +22,7 @@ from mvdeg import (
     gen_wgn,
     generate,
     realization_seed,
+    uniform_correlation,
 )
 
 # ── determinism and substream layout ─────────────────────────────────────────
@@ -204,6 +210,83 @@ def test_spec_validation():
         generate(GeneratorSpec("mixture", p=2, n_samples=16, seed=0, params={"q": 1}))
     spec = GeneratorSpec("wgn", p=1, n_samples=10, seed=0)
     assert spec.version == GENERATOR_VERSION
+
+
+UNTYPED_BEFORE = {
+    "corr missing": lambda: GeneratorSpec("correlated", 2, 16, 0),
+    "q missing": lambda: GeneratorSpec("mixture", 3, 16, 0),
+    "q a string": lambda: GeneratorSpec("mixture", 3, 16, 0, {"q": "x"}),
+    "corr ragged": lambda: GeneratorSpec("correlated", 2, 16, 0, {"corr": [[1.0, 0.0], [0.0]]}),
+    "corr not numbers": lambda: GeneratorSpec("correlated", 2, 16, 0, {"corr": [["a", 0], [0, 1]]}),
+    "seed a float": lambda: GeneratorSpec("wgn", 2, 16, 1.5),
+    "n_samples a float": lambda: GeneratorSpec("wgn", 2, 2.5, 0),
+    "p a bool": lambda: GeneratorSpec("wgn", True, 16, 0),
+}
+
+
+@pytest.mark.parametrize("make", UNTYPED_BEFORE.values(), ids=UNTYPED_BEFORE.keys())
+def test_spec_refuses_what_used_to_fail_untyped(make):
+    with pytest.raises(DimensionError):
+        make()
+
+
+def test_fractional_mixture_index_is_refused_not_rounded():
+    with pytest.raises(DimensionError, match="q must be an integer, got 1.7"):
+        gen_mixture_F(1.7, 64, 0)
+    with pytest.raises(DimensionError, match="q must be an integer, got 1.7"):
+        GeneratorSpec("mixture", 3, 64, 0, {"q": 1.7})
+
+
+def test_spec_construction_checks_the_whole_recipe():
+    with pytest.raises(DimensionError, match="seed must be >= 0, got -1"):
+        GeneratorSpec("wgn", 2, 16, -1)
+    with pytest.raises(DimensionError, match="mixture signals are trivariate, got p=2"):
+        GeneratorSpec("mixture", 2, 16, 0, {"q": 1})
+    with pytest.raises(DimensionError, match="1/f synthesis needs at least 4 samples, got 3"):
+        GeneratorSpec("one_over_f", 2, 3, 0)
+    with pytest.raises(DimensionError, match="correlation matrix must be symmetric"):
+        GeneratorSpec("correlated", 2, 16, 0, {"corr": [[1.0, 0.2], [0.3, 1.0]]})
+    with pytest.raises(DimensionError, match="need at least 2 samples, got 1"):
+        gen_wgn(2, 1, 0)
+    # positive semidefiniteness is checked as generate() factors the matrix
+    spec = GeneratorSpec("correlated", 2, 16, 0, {"corr": [[1.0, 1.2], [1.2, 1.0]]})
+    with pytest.raises(FactorizationError):
+        generate(spec)
+
+
+def test_version_is_not_settable_and_survives_replace():
+    assert "version" not in inspect.signature(GeneratorSpec).parameters
+    with pytest.raises(TypeError):
+        GeneratorSpec("wgn", 2, 10, 0, {}, "pcg64-v0")
+    spec = replace(GeneratorSpec("mixture", 3, 16, 0, {"q": 2}), seed=9)
+    assert spec.seed == 9 and spec.version == GENERATOR_VERSION
+
+
+@st.composite
+def recipes(draw):
+    """(shorthand call, equivalent spec) for a valid recipe."""
+    kind = draw(st.sampled_from(("wgn", "one_over_f", "correlated", "mixture")))
+    p = 3 if kind == "mixture" else draw(st.integers(1, 6))
+    q = draw(st.integers(0, 3))
+    least = 4 if kind == "one_over_f" or (kind == "mixture" and q < 3) else 2
+    n = draw(st.integers(least, 300))
+    seed = draw(st.integers(0, 2 ** 64 - 1))
+    corr = uniform_correlation(p, draw(st.sampled_from((0.0, 0.3, 0.9, 1.0))))
+    calls = {
+        "wgn": (lambda: gen_wgn(p, n, seed), {}),
+        "one_over_f": (lambda: gen_one_over_f(p, n, seed), {}),
+        "correlated": (lambda: gen_correlated(p, n, corr, seed), {"corr": corr.tolist()}),
+        "mixture": (lambda: gen_mixture_F(q, n, seed), {"q": q}),
+    }
+    call, params = calls[kind]
+    return call, GeneratorSpec(kind, p, n, seed, params)
+
+
+@settings(max_examples=100, deadline=None)
+@given(recipes())
+def test_shorthands_equal_generate_of_their_spec(recipe):
+    call, spec = recipe
+    assert call().values.tobytes() == generate(spec).values.tobytes()
 
 
 # ── voltage feature extraction ───────────────────────────────────────────────

@@ -86,6 +86,14 @@ def test_signal_ragged_row(tmp_path):
     assert err.value.line == 3
 
 
+def test_csv_row_error_names_the_physical_line_the_row_starts_on(tmp_path):
+    path = tmp_path / "quoted.csv"
+    path.write_text('a,b\n"1\n",2\n3,4,5\n')
+    with pytest.raises(ParseError) as err:
+        read_signal_csv(path)
+    assert err.value.line == 4
+
+
 def test_signal_empty_file(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")
@@ -311,6 +319,23 @@ def test_graph_json_missing_keys():
 def test_graph_json_size_mismatch():
     with pytest.raises(ParseError):
         graph_from_json({"n": 3, "directed": False, "weights": [[0.0, 1.0], [1.0, 0.0]]})
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ([1, 2, 3], "g.json: must be an object"),
+        ({"n": 1, "weights": [[0.0]]}, "g.json: lacks keys: ['directed']"),
+        ({"n": 3, "directed": False, "weights": [[0.0, 1.0], [1.0, 0.0]]},
+         "g.json: declares n=3 but weights have shape (2, 2)"),
+    ],
+)
+def test_graph_json_structure_errors_name_the_file(tmp_path, obj, message):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ParseError) as err:
+        read_graph_json(path)
+    assert str(err.value) == f"{tmp_path}/{message}"
 
 
 @pytest.mark.parametrize(
