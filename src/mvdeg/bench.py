@@ -26,6 +26,8 @@ from .entropy import (
     EntropyCurve,
     PATTERN_CAP,
     ScaleRecord,
+    _pool_map,
+    _scales_pooled,
     classical_mvde,
     mvdeg_curve,
     mvdeg_single_scale,
@@ -206,7 +208,7 @@ def _policy_graph(
     if policy == "complete":
         return build_complete_graph(spec.p)
     if policy == "theoretical":
-        return correlation_graph(spec.params["corr"])
+        return correlation_graph(spec._params["corr"])
     if policy == "estimated":
         return estimate_correlation_graph(signal)
     raise DimensionError(f"unknown graph policy {policy!r}; expected one of {GRAPH_POLICIES}")
@@ -217,16 +219,27 @@ def _realization_curves(
     realizations: int, seed: int,
 ) -> list[list[EntropyCurve]]:
     """Per policy, the curve of each realization r of spec; its signal is generated
-    once, with the seed derived from (seed, index, r), and every policy sees it."""
+    once, with the seed derived from (seed, index, r), and every policy sees it.
+
+    Curves below _POOL_MIN_SAMPLES (N * p) run their scales serially, so the
+    realizations are mapped over the thread pool instead; larger curves pool
+    their own scales and the realizations run serially. Either way the first
+    error in realization order propagates, and no value depends on the pool.
+    """
     if realizations < 1:
         raise DimensionError(f"need at least one realization, got {realizations}")
-    curves: list[list[EntropyCurve]] = [[] for _ in policies]
-    for r in range(realizations):
+
+    def realization(r: int) -> list[EntropyCurve]:
         spec_r = replace(spec, seed=realization_seed(seed, index, r))
         signal = generate(spec_r)
-        for policy, per_policy in zip(policies, curves):
-            per_policy.append(mvdeg_curve(signal, _policy_graph(policy, spec_r, signal), config))
-    return curves
+        return [
+            mvdeg_curve(signal, _policy_graph(policy, spec_r, signal), config)
+            for policy in policies
+        ]
+
+    pooled = not _scales_pooled(spec.n_samples * spec.p)
+    per_realization = _pool_map(realization, range(realizations), pooled)
+    return [list(per_policy) for per_policy in zip(*per_realization)]
 
 
 def run_noise_experiment(

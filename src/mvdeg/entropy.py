@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import chain, combinations
@@ -41,6 +41,14 @@ PATTERN_CAP = 10 ** 8  # refuse classical enumeration beyond this many patterns
 # OpenBLAS (rows, p) x (p, p) products match the whole product bit for bit.
 _CHUNK_ELEMENTS = 2 ** 18
 _CHUNK_MIN_ROWS = 4096
+# One rule for where the thread pool sits (_scales_pooled). An mvdeg curve of
+# at least _POOL_MIN_SAMPLES samples over all channels (N * p) runs its scales
+# on the pool. A smaller one runs them serially, as the pool would cost more
+# than it saves, and an ensemble of such curves maps its realizations over the
+# pool instead (bench._realization_curves). So at most one level is pooled, and
+# pools never nest. On 2 cores a 20-scale curve's pooled/serial time ratio
+# crosses 1 between 48k and 56k samples.
+_POOL_MIN_SAMPLES = 50_000
 
 # ── configuration and result records ────────────────────────────────────────
 
@@ -284,27 +292,40 @@ def ncdf_map(signal: MultivariateSignal, c: int) -> np.ndarray:
     return _classes_from_z(_standardize(signal.values), c)
 
 
+def _pool_map(fn: Callable, items: Sequence, pooled: bool) -> list:
+    """[fn(item) for item in items], on a thread pool when pooled: one worker per
+    CPU the process may run on, at most one per item. Results are taken in item
+    order, so the first error in item order propagates, as from a serial loop."""
+    if not pooled:
+        return [fn(item) for item in items]
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        cpus = os.cpu_count() or 1
+    with ThreadPoolExecutor(max(1, min(cpus, len(items)))) as pool:
+        return list(pool.map(fn, items))
+
+
+def _scales_pooled(samples: int) -> bool:
+    """Whether an mvdeg curve of this many samples (N * p) runs its scales on the pool."""
+    return samples >= _POOL_MIN_SAMPLES
+
+
 def _curve(
     n_samples: int, config: EmbeddingConfig, entropy_at: Callable[[int], float],
-    method: str, graph: str,
+    method: str, graph: str, pooled: bool = True,
 ) -> EntropyCurve:
     """Entropy versus scale: entropy_at(tau) at each tau = 1..max_scale.
 
     A scale whose coarse-grained length n_samples // tau drops below m+1 is
     recorded as undefined rather than skipped. The defined scales share
-    nothing, so they run on a thread pool with one worker per CPU the process
-    may run on (at most one per scale), largest scale (tau = 1) first. Results
-    are taken in tau order, so the first error in tau order propagates, as
-    from a serial loop, and no value depends on the worker count.
+    nothing, so when pooled they run through _pool_map, largest scale (tau = 1)
+    first; otherwise they run in a serial loop (see _scales_pooled). The first
+    error in tau order propagates, and no value depends on the worker count.
     """
     scales = range(1, config.max_scale + 1)
     defined = [tau for tau in scales if n_samples // tau >= config.m + 1]
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity API on this platform
-        cpus = os.cpu_count() or 1
-    with ThreadPoolExecutor(max(1, min(cpus, len(defined)))) as pool:
-        means = dict(zip(defined, pool.map(entropy_at, defined)))
+    means = dict(zip(defined, _pool_map(entropy_at, defined, pooled)))
     records = tuple(
         ScaleRecord(tau, means[tau], 0.0, 1, True) if tau in means
         else ScaleRecord(tau, math.nan, math.nan, 0, False)
@@ -367,12 +388,14 @@ def mvdeg_curve(
     graph: WeightedGraph,
     config: EmbeddingConfig,
 ) -> EntropyCurve:
-    """Graph-based entropy versus scale for one signal."""
+    """Graph-based entropy versus scale for one signal; its scales run on the
+    thread pool when N * p is at least _POOL_MIN_SAMPLES, serially otherwise."""
 
     def entropy_at(tau: int) -> float:
         return mvdeg_single_scale(coarse_grain(signal, tau), graph, config.m, config.c)[0]
 
-    return _curve(signal.n_samples, config, entropy_at, "mvdeg", graph.describe())
+    pooled = _scales_pooled(signal.n_samples * signal.p)
+    return _curve(signal.n_samples, config, entropy_at, "mvdeg", graph.describe(), pooled)
 
 
 def pattern_counts(n_samples: int, p: int, m: int) -> tuple[int, int]:
@@ -442,7 +465,8 @@ def classical_mvde_curve(
 
     Every defined scale must fit pattern_cap, or CapacityError is raised. The
     pattern count falls as tau grows, so tau = 1, when defined, is checked
-    before any scale runs.
+    before any scale runs. The scales run serially at every size: on 2 cores
+    a pool of two took 1.4-2.5x the serial time from 25k to 21M patterns.
     """
     if signal.n_samples >= config.m + 1:
         _check_capacity(signal.n_samples, signal.p, config.m, pattern_cap)
@@ -450,7 +474,7 @@ def classical_mvde_curve(
     def entropy_at(tau: int) -> float:
         return classical_mvde(signal, config.m, config.c, tau=tau, pattern_cap=pattern_cap)[0]
 
-    return _curve(signal.n_samples, config, entropy_at, "mvde", "none")
+    return _curve(signal.n_samples, config, entropy_at, "mvde", "none", pooled=False)
 
 
 def univariate_single_scale(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,10 +38,11 @@ def _check_seed(seed) -> None:
     _check_int("seed", seed, f"seed must be >= 0, got {seed}", 0)
 
 
-def _check_correlation(corr, p: int) -> None:
-    """corr must convert to a finite, symmetric, unit-diagonal (p, p) float array."""
+def _check_correlation(corr, p: int) -> np.ndarray:
+    """corr must convert to a finite, symmetric, unit-diagonal (p, p) float array;
+    returns that array, a read-only copy."""
     try:
-        arr = None if corr is None else np.asarray(corr, dtype=float)
+        arr = None if corr is None else np.array(corr, dtype=float)
     except (TypeError, ValueError, OverflowError):  # ragged, or not numbers
         arr = None
     if arr is None or arr.shape != (p, p):
@@ -52,13 +54,16 @@ def _check_correlation(corr, p: int) -> None:
         raise DimensionError("correlation matrix must be symmetric")
     if np.any(np.abs(np.diag(arr) - 1.0) > 1e-12):
         raise DimensionError("correlation matrix must have unit diagonal")
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Recipe for one synthetic signal, serialized next to generated data; params
     holds "q" (white channels) of a mixture or "corr" of correlated ones. Construction
-    checks every rule but one: generate() refuses a non-PSD corr as it factors it."""
+    checks every rule but one: generate() refuses a non-PSD corr as it factors it.
+    The checked values are copied, so a later edit of params cannot reach a signal."""
 
     kind: str
     p: int
@@ -66,6 +71,7 @@ class GeneratorSpec:
     seed: int
     params: dict = field(default_factory=dict)
     version: str = field(default=GENERATOR_VERSION, init=False)
+    _params: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in GENERATOR_KINDS:
@@ -75,13 +81,17 @@ class GeneratorSpec:
         _check_int("p", self.p, f"channel count must be >= 1, got {self.p}", 1)
         n = self.n_samples
         _check_int("n_samples", n, f"need at least 2 samples, got {n}", 2)
+        if self.kind in ("mixture", "correlated") and not isinstance(self.params, Mapping):
+            raise DimensionError(f"{self.kind} params must be a mapping, got {self.params!r}")
         if self.kind == "mixture":
             if self.p != 3:
                 raise DimensionError(f"mixture signals are trivariate, got p={self.p}")
             q = self.params.get("q")
             _check_int("q", q, f"mixture index must be in 0..3, got {q}", 0, 3)
+            object.__setattr__(self, "_params", {"q": q})
         if self.kind == "correlated":
-            _check_correlation(self.params.get("corr"), self.p)
+            corr = _check_correlation(self.params.get("corr"), self.p)
+            object.__setattr__(self, "_params", {"corr": corr})
         _check_seed(self.seed)
         if _white_channels(self) < self.p and n < 4:
             raise DimensionError(f"1/f synthesis needs at least 4 samples, got {n}")
@@ -90,7 +100,7 @@ class GeneratorSpec:
 def _white_channels(spec: GeneratorSpec) -> int:
     """Channels 0..k-1 of spec are white and the rest 1/f; this returns k."""
     if spec.kind == "mixture":
-        return spec.params["q"]
+        return spec._params["q"]
     return 0 if spec.kind == "one_over_f" else spec.p
 
 
@@ -143,7 +153,7 @@ def generate(spec: GeneratorSpec) -> MultivariateSignal:
     white = _white_channels(spec)
     values = np.stack(noise[:white] + [_one_over_f(x) for x in noise[white:]])
     if spec.kind == "correlated":
-        values = _psd_lower_factor(np.asarray(spec.params["corr"], dtype=float)) @ values
+        values = _psd_lower_factor(spec._params["corr"]) @ values
     return MultivariateSignal(values)
 
 

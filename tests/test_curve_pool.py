@@ -1,28 +1,37 @@
-"""Entropy curves run their scales on a thread pool: values and errors match a serial loop."""
+"""Large entropy curves run their scales on a thread pool, and ensembles of small
+curves run their realizations on it: values and errors match a serial loop."""
 
 import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mvdeg.bench as bench
 import mvdeg.entropy as entropy
 from mvdeg import (
     CapacityError,
     EmbeddingConfig,
     FloatRangeError,
+    GeneratorSpec,
     WeightedGraph,
+    aggregate_curves,
     build_complete_graph,
+    build_zero_graph,
     classical_mvde,
     classical_mvde_curve,
     coarse_grain,
     estimate_correlation_graph,
     gen_wgn,
+    generate,
     mvdeg_curve,
     mvdeg_single_scale,
+    realization_seed,
+    run_noise_experiment,
     univariate_mde,
     univariate_single_scale,
     write_signal_csv,
@@ -134,7 +143,7 @@ def test_first_failing_scale_in_tau_order_wins(affinity, cpus):
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """The worker count of every pool _curve makes, in order."""
+    """The worker count of every pool _pool_map makes, in order."""
     sizes = []
 
     class Recording(entropy.ThreadPoolExecutor):
@@ -162,6 +171,85 @@ def test_pool_falls_back_to_the_cpu_count_without_an_affinity_api(monkeypatch, p
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     _curve(100, EmbeddingConfig(m=2, c=3, max_scale=20), float, "mvdeg", "test")
     assert pool_sizes == [3]
+
+
+def test_a_small_curve_runs_its_scales_serially(affinity, pool_sizes):
+    affinity(2)
+    # the criterion-6 ensemble's curve: p=3, N=15k
+    signal = gen_wgn(3, 15_000, 5)
+    mvdeg_curve(signal, build_zero_graph(3), EmbeddingConfig(4, 6, 20))
+    assert pool_sizes == []
+
+
+def test_a_curve_from_the_threshold_up_pools_its_scales(affinity, pool_sizes):
+    affinity(2)
+    half = entropy._POOL_MIN_SAMPLES // 2
+    config = EmbeddingConfig(3, 4, 6)
+    graph = build_complete_graph(2)
+    signal = gen_wgn(2, half, 6)
+    curve = mvdeg_curve(signal, graph, config)
+    assert pool_sizes == [2]
+    assert_same_means(curve, serial_means(
+        half, config, lambda tau: mvdeg_single_scale(coarse_grain(signal, tau), graph, 3, 4)[0]
+    ))
+    mvdeg_curve(gen_wgn(2, half - 1, 6), graph, config)
+    assert pool_sizes == [2]
+
+
+MIXTURES = [(f"F({q})", GeneratorSpec("mixture", 3, 300, 0, {"q": q})) for q in (0, 3)]
+
+
+def serial_ensemble(conditions, config, realizations, seed):
+    """run_noise_experiment's curves on the zero graph, from a plain loop."""
+    return [
+        aggregate_curves(
+            [
+                mvdeg_curve(
+                    generate(replace(spec, seed=realization_seed(seed, i, r))),
+                    build_zero_graph(spec.p), config,
+                )
+                for r in range(realizations)
+            ],
+            method=label, seed=seed,
+        )
+        for i, (label, spec) in enumerate(conditions)
+    ]
+
+
+def bits(curves):
+    return [
+        (c.method, [(r.tau, r.mean.hex(), r.sd.hex(), r.n_realizations) for r in c.records])
+        for c in curves
+    ]
+
+
+@pytest.mark.parametrize("cpus", WORKERS)
+def test_small_ensembles_pool_their_realizations_not_their_scales(affinity, pool_sizes, cpus):
+    affinity(cpus)
+    config = EmbeddingConfig(4, 6, 8)
+    report = run_noise_experiment(MIXTURES, "zero", config, 3, 11)
+    # one pool per condition, none inside it
+    assert pool_sizes == [min(cpus, 3)] * len(MIXTURES)
+    assert bits(report.curves) == bits(serial_ensemble(MIXTURES, config, 3, 11))
+
+
+@pytest.mark.parametrize("cpus", WORKERS)
+def test_first_failing_realization_in_order_wins(affinity, monkeypatch, cpus):
+    affinity(cpus)
+    # realization 3 fails last in wall time, 5 first; the loop's error is realization 3's
+    realization = {realization_seed(11, 0, r): r for r in range(8)}
+
+    def failing_generate(spec):
+        r = realization[spec.seed]
+        if r == 3:
+            time.sleep(0.2)
+        if r in (3, 5):
+            raise ValueError(f"realization {r}")
+        return generate(spec)
+
+    monkeypatch.setattr(bench, "generate", failing_generate)
+    with pytest.raises(ValueError, match="^realization 3$"):
+        run_noise_experiment(MIXTURES[:1], "zero", EmbeddingConfig(4, 6, 8), 8, 11)
 
 
 CHILD = """
@@ -192,6 +280,24 @@ def test_cli_output_does_not_depend_on_the_cpus_it_may_use(tmp_path):
         outputs.append((out.read_bytes(), Path(f"{out}.json").read_bytes()))
     assert outputs[0] == outputs[1]
     assert np.isfinite(float(outputs[0][0].splitlines()[1].split(b",")[2]))
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity API")
+def test_cli_ensemble_does_not_depend_on_the_cpus_it_may_use(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SOURCE)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    ))
+    outputs = []
+    for mode in ("pin", "free"):
+        out = tmp_path / mode
+        subprocess.run(
+            [sys.executable, "-c", CHILD, mode, "ensemble", "--experiment", "mixture",
+             "--n", "400", "--realizations", "3", "--max-scale", "6", "--out", str(out)],
+            env=env, check=True, capture_output=True,
+        )
+        outputs.append((Path(f"{out}.csv").read_bytes(), Path(f"{out}.json").read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0][0].splitlines()) == 1 + 4 * 6  # header, 4 conditions x 6 scales
 
 
 def test_classical_curve_refuses_before_any_scale_runs(monkeypatch):

@@ -221,6 +221,8 @@ UNTYPED_BEFORE = {
     "seed a float": lambda: GeneratorSpec("wgn", 2, 16, 1.5),
     "n_samples a float": lambda: GeneratorSpec("wgn", 2, 2.5, 0),
     "p a bool": lambda: GeneratorSpec("wgn", True, 16, 0),
+    "mixture params None": lambda: GeneratorSpec("mixture", 3, 16, 0, None),
+    "correlated params None": lambda: GeneratorSpec("correlated", 2, 16, 0, None),
 }
 
 
@@ -252,6 +254,20 @@ def test_spec_construction_checks_the_whole_recipe():
     spec = GeneratorSpec("correlated", 2, 16, 0, {"corr": [[1.0, 1.2], [1.2, 1.0]]})
     with pytest.raises(FactorizationError):
         generate(spec)
+
+
+def test_editing_params_after_the_checks_cannot_reach_the_signal():
+    spec = GeneratorSpec("mixture", 3, 16, 0, {"q": 1})
+    want = generate(spec).values.tobytes()
+    spec.params["q"] = 7
+    assert generate(spec).values.tobytes() == want
+
+    corr = uniform_correlation(3, 0.5)
+    spec = GeneratorSpec("correlated", 3, 16, 0, {"corr": corr})
+    want = generate(spec).values.tobytes()
+    corr[0, 1] = corr[1, 0] = 0.9  # the caller's array, which params still holds
+    spec.params["corr"][0, 2] = spec.params["corr"][2, 0] = -0.9
+    assert generate(spec).values.tobytes() == want
 
 
 def test_version_is_not_settable_and_survives_replace():
