@@ -1,7 +1,8 @@
 """Timing sweeps and seeded ensemble experiments.
 
-Wall times are the median of 3 repetitions after 1 warm-up; the report's
-environment records the BLAS thread count they ran with.
+Wall times are the median of 3 repetitions after 1 warm-up, with OpenBLAS on
+one thread; the report's environment records the BLAS thread count they ran
+with and the OpenBLAS kernel.
 Capacity refusals by the classical method are recorded as outcomes in the
 report, never raised out of a sweep; everything except the wall-clock numbers
 is a pure function of the seeds.
@@ -15,6 +16,7 @@ import platform
 import statistics
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
@@ -47,16 +49,51 @@ from .signal import MultivariateSignal
 GRAPH_POLICIES = ("zero", "complete", "theoretical", "estimated")
 
 
-def _blas_threads() -> int | None:
-    """Threads numpy's bundled OpenBLAS runs with; None where it is not found."""
+def _openblas() -> ctypes.CDLL | None:
+    """numpy's bundled OpenBLAS; None where it is not found."""
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     for path in sorted(libs.glob("libscipy_openblas64_*.so*")):
-        return ctypes.CDLL(str(path)).scipy_openblas_get_num_threads64_()
+        return ctypes.CDLL(str(path))
     return None
 
 
+def _blas_threads() -> int | None:
+    """Threads numpy's bundled OpenBLAS runs with; None where it is not found."""
+    lib = _openblas()
+    return None if lib is None else lib.scipy_openblas_get_num_threads64_()
+
+
+def _blas_core() -> str | None:
+    """The CPU kernel numpy's bundled OpenBLAS runs, such as "Haswell"; None where
+    it is not found. Its products can round differently under another kernel."""
+    lib = _openblas()
+    if lib is None:
+        return None
+    corename = lib.scipy_openblas_get_corename64_
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with numpy's bundled OpenBLAS on one thread, then restore its
+    thread count. Threaded, it splits each (rows, p) x (p, p) hop product, and
+    a p = 10, N = 10k scale took about 2x as long on 2 cores."""
+    lib = _openblas()
+    if lib is None:
+        yield
+        return
+    before = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(1)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads64_(before)
+
+
 def environment_info() -> dict:
-    """Versions, hardware tags and the BLAS thread count recorded with every timing report."""
+    """Versions, hardware tags, and the BLAS thread count and kernel recorded with
+    every timing report."""
     cpu = platform.processor() or platform.machine()
     try:
         with open("/proc/cpuinfo") as f:
@@ -71,6 +108,7 @@ def environment_info() -> dict:
         "numpy": np.__version__,
         "cpu": cpu,
         "threads": _blas_threads(),
+        "blas_core": _blas_core(),
     }
 
 
@@ -130,7 +168,9 @@ def run_timing_sweep(
     repetitions: int = 3,
     warmup: int = 1,
 ) -> TimingReport:
-    """Time each method on fresh white noise per N, at the native scale.
+    """Time each method on fresh white noise per N, at the native scale, with
+    OpenBLAS on one thread (restored afterwards); the report's environment
+    reads back that one thread.
 
     mvdeg runs on build_complete_graph(p), so the sweep times the hop recurrence;
     the edgeless graph would take the shortcut that skips it.
@@ -140,30 +180,31 @@ def run_timing_sweep(
     for method in methods:
         if method not in ("mvdeg", "classical"):
             raise DimensionError(f"unknown method {method!r}")
-    cells = []
-    graph = build_complete_graph(p)
-    for index, n in enumerate(n_values):
-        signal = gen_wgn(p, n, realization_seed(seed, index))
-        classical_count, graph_bound = pattern_counts(n, p, m)
-        timed = {
-            "classical": lambda: classical_mvde(signal, m, c, tau=1, pattern_cap=pattern_cap),
-            "mvdeg": lambda: mvdeg_single_scale(signal, graph, m, c),
-        }
-        for method in methods:
-            try:
-                wall_time, outcome = _median_time(timed[method], repetitions, warmup), "ok"
-            except CapacityError:
-                wall_time, outcome = None, "refused-capacity"
-            cells.append(
-                TimingCell(
-                    method, n, p, m, c,
-                    wall_time_s=wall_time,
-                    classical_patterns=classical_count,
-                    graph_bound_patterns=graph_bound,
-                    outcome=outcome,
+    with _one_blas_thread():
+        cells = []
+        graph = build_complete_graph(p)
+        for index, n in enumerate(n_values):
+            signal = gen_wgn(p, n, realization_seed(seed, index))
+            classical_count, graph_bound = pattern_counts(n, p, m)
+            timed = {
+                "classical": lambda: classical_mvde(signal, m, c, tau=1, pattern_cap=pattern_cap),
+                "mvdeg": lambda: mvdeg_single_scale(signal, graph, m, c),
+            }
+            for method in methods:
+                try:
+                    wall_time, outcome = _median_time(timed[method], repetitions, warmup), "ok"
+                except CapacityError:
+                    wall_time, outcome = None, "refused-capacity"
+                cells.append(
+                    TimingCell(
+                        method, n, p, m, c,
+                        wall_time_s=wall_time,
+                        classical_patterns=classical_count,
+                        graph_bound_patterns=graph_bound,
+                        outcome=outcome,
+                    )
                 )
-            )
-    return TimingReport(cells=tuple(cells), environment=environment_info(), seed=seed)
+        return TimingReport(cells=tuple(cells), environment=environment_info(), seed=seed)
 
 
 def aggregate_curves(

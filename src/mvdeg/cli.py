@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage or a file that cannot be opened, 2 malformed
 input file, 3 dimension mismatch, 4 numeric refusal (degenerate data, non-PSD
-correlation, capacity cap).
+correlation, capacity cap). Every command runs with numpy's OpenBLAS on one
+thread.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from importlib.metadata import PackageNotFoundError, version
 
 from .bench import (
     GRAPH_POLICIES,
+    _one_blas_thread,
     compare_graph_policies,
     run_noise_experiment,
     run_timing_sweep,
@@ -316,7 +318,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args, parser)
+        with _one_blas_thread():  # the hop products are too small to split
+            return args.func(args, parser)
     except SystemExit as exit_call:
         code = exit_call.code
         return code if isinstance(code, int) else 0

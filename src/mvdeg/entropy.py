@@ -16,10 +16,12 @@ sequences into the same base-c int64 codes for all three:
 from __future__ import annotations
 
 import math
+import mmap
 import os
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from itertools import chain, combinations
 
 import numpy as np
@@ -49,6 +51,15 @@ _CHUNK_MIN_ROWS = 4096
 # pools never nest. On 2 cores a 20-scale curve's pooled/serial time ratio
 # crosses 1 between 48k and 56k samples.
 _POOL_MIN_SAMPLES = 50_000
+# _classes_from_z reads classes from a table per class count over z-cells of
+# width 2^-_CELL_BITS on [-_CELL_RANGE, _CELL_RANGE), 32,768 cells (256 KiB).
+# Each table is built on first use, and the _CLASS_TABLES most recently used
+# are kept (by lru_cache, which pool threads may share). Samples in cells next
+# to a class edge fall back to ndtr; as c grows they are more of the data, and
+# on 2 cores the table stopped paying at about c = 150-300.
+_CELL_BITS = 10
+_CELL_RANGE = 16
+_CLASS_TABLES = 8
 
 # ── configuration and result records ────────────────────────────────────────
 
@@ -205,9 +216,52 @@ def _standardize(
 def _classes_from_z(z: np.ndarray, c: int) -> np.ndarray:
     """Map z-scores through the normal CDF onto int64 classes 1..c, overwriting z.
 
-    round(c * Phi(z) + 0.5) with ties away from zero is floor(c * Phi(z) + 1),
-    capped at c where Phi(z) = 1. The class edges are those of scipy's ndtr,
-    which is not monotone within one ulp of some of them.
+    The classes are those of _ndtr_classes, read from _class_table(c) at cell
+    trunc(clip(z 2^_CELL_BITS + _CELL_RANGE 2^_CELL_BITS)). Scaling by 2^_CELL_BITS
+    is exact and the add rounds up by less than one cell, so the cell found is
+    the true cell or the one above it, and a class the table holds is exact.
+    Samples in the cells it leaves at 0 take _ndtr_classes of their z, which
+    the scaled z gives back exactly.
+    """
+    table = _class_table(int(c))
+    half = _CELL_RANGE << _CELL_BITS  # cells below z = 0
+    z *= 2.0 ** _CELL_BITS
+    np.clip(z, -half, half - 1, out=z)  # only the end cells, which both hold a class
+    classes = np.empty(z.shape, dtype=np.int64)
+    np.add(z, half, out=classes, casting="unsafe")  # the cast truncates
+    np.take(table, classes, out=classes, mode="clip")
+    near_edge = classes == 0
+    classes[near_edge] = _ndtr_classes(z[near_edge] / 2.0 ** _CELL_BITS, c)
+    return classes
+
+
+@lru_cache(maxsize=_CLASS_TABLES)
+def _class_table(c: int) -> np.ndarray:
+    """Read-only int64 class per z-cell for _classes_from_z; 0 where it must fall back.
+
+    Cell j spans [e_j, e_(j+1)) with e_j = j 2^-_CELL_BITS - _CELL_RANGE. It holds
+    a class when _ndtr_classes gives that class at e_(j-1) .. e_(j+2), the edges
+    of the cell and of both its neighbours, so the class holds over every z
+    whose index lands on j. Cell 0 also stands for all z below -_CELL_RANGE and
+    the last cell for all z above; every class edge ndtri(k/c) lies within
+    +-6.2 for c < 2^31, so they hold classes 1 and c.
+    """
+    half = _CELL_RANGE << _CELL_BITS
+    at = _ndtr_classes(np.arange(-half - 1, half + 2) / 2.0 ** _CELL_BITS, c)  # e_-1 ..
+    safe = (at[:-3] == at[1:-2]) & (at[1:-2] == at[2:-1]) & (at[2:-1] == at[3:])
+    # in its own pages: a table made mid-scale on the malloc heap would keep
+    # the heap from shrinking below it for as long as it is cached
+    table = np.frombuffer(mmap.mmap(-1, 8 * safe.size), dtype=np.int64)
+    np.multiply(at[1:-2], safe, out=table)
+    assert table[0] == 1 and table[-1] == c, f"end cells of the class table for c={c}"
+    table.flags.writeable = False
+    return table
+
+
+def _ndtr_classes(z: np.ndarray, c: int) -> np.ndarray:
+    """round(c * Phi(z) + 0.5) as int64, overwriting z: with ties away from zero
+    that is floor(c * Phi(z) + 1), capped at c where Phi(z) = 1. The class edges
+    are those of scipy's ndtr, which is not monotone within one ulp of some of them.
     """
     ndtr(z, out=z)
     z *= c

@@ -31,6 +31,10 @@ def write_inputs() -> None:
     INPUTS.mkdir(parents=True)
     write_signal_csv(gen_wgn(1, 60, 5), INPUTS / "one.csv")
     write_signal_csv(gen_wgn(2, 40, 6), INPUTS / "two.csv")
+    write_signal_csv(gen_wgn(3, 400, 8), INPUTS / "three.csv")
+    (INPUTS / "constant.csv").write_text(_rows("a,b", [[1.5, -2.0]] * 30))
+    graph = "[[0.0, 0.8, 0.0], [0.8, 0.0, 0.3], [0.0, 0.3, 0.0]]"
+    (INPUTS / "graph3.json").write_text(f'{{"n": 3, "directed": false, "weights": {graph}}}\n')
     rows = gen_wgn(2, 12, 7).values.T
     body = _rows("a,b", rows)
     lines = body.splitlines(keepends=True)

@@ -89,8 +89,56 @@ def test_timing_sweep_validation():
 
 def test_environment_info_keys():
     info = environment_info()
-    assert set(info) == {"python", "numpy", "cpu", "threads"}
+    assert set(info) == {"python", "numpy", "cpu", "threads", "blas_core"}
     assert info["numpy"] == np.__version__
+
+
+def test_environment_info_names_the_openblas_kernel():
+    core = environment_info()["blas_core"]
+    assert isinstance(core, str) and core and core == core.strip()
+    assert core == bench._blas_core()
+
+
+def test_environment_info_without_openblas_holds_none(monkeypatch):
+    monkeypatch.setattr(bench, "_openblas", lambda: None)
+    info = environment_info()
+    assert info["threads"] is None and info["blas_core"] is None
+    with bench._one_blas_thread():  # nothing to pin, nothing to restore
+        pass
+
+
+def _set_blas_threads(count):
+    bench._openblas().scipy_openblas_set_num_threads64_(count)
+
+
+def test_one_blas_thread_pins_the_block_and_restores_the_count():
+    before = bench._blas_threads()
+    try:
+        _set_blas_threads(2)
+        with bench._one_blas_thread():
+            assert bench._blas_threads() == 1
+        assert bench._blas_threads() == 2
+        with pytest.raises(RuntimeError):
+            with bench._one_blas_thread():
+                raise RuntimeError("the count comes back on an error too")
+        assert bench._blas_threads() == 2
+    finally:
+        _set_blas_threads(before)
+
+
+def test_timing_sweep_runs_on_one_blas_thread_and_restores_the_callers():
+    # without OPENBLAS_NUM_THREADS, OpenBLAS starts with a thread per CPU
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    code = (
+        "import mvdeg, mvdeg.bench as b\n"
+        "b._openblas().scipy_openblas_set_num_threads64_(2)\n"
+        "r = mvdeg.run_timing_sweep((40,), p=2, m=2, c=3, repetitions=1, warmup=0)\n"
+        "print(r.environment['threads'], b._blas_threads())"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.split() == ["1", "2"]
 
 
 @pytest.mark.parametrize("threads", [1, 2])

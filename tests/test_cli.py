@@ -11,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mvdeg.bench as bench
+import mvdeg.cli as cli
 from mvdeg.cli import main
 
 SOURCE = Path(__file__).resolve().parents[1] / "src"
@@ -528,3 +530,21 @@ def test_mistyped_graph_json_is_parse_error(tmp_path, monkeypatch, capsys, text,
     err = capsys.readouterr().err
     assert err.startswith("mvdeg: parse error: g.json") and err.endswith(f"{message}\n")
     assert err.count("\n") == 1
+
+
+def test_commands_run_on_one_blas_thread_and_restore_the_count(tmp_path, monkeypatch):
+    seen = []
+
+    def command(args, parser):
+        seen.append(bench._blas_threads())
+        return 0
+
+    monkeypatch.setattr(cli, "_cmd_graph", command)
+    set_threads = bench._openblas().scipy_openblas_set_num_threads64_
+    before = bench._blas_threads()
+    try:
+        set_threads(2)
+        assert run("graph", "--kind", "zero", "--p", "2", "--out", str(tmp_path / "g.json")) == 0
+        assert seen == [1] and bench._blas_threads() == 2
+    finally:
+        set_threads(before)

@@ -113,6 +113,38 @@ CASES: dict[str, tuple[str, ...]] = {
     "entropy-1_0-cell": (
         "entropy", "--input", "signal_1_0.csv", "--m", "2", "--max-scale", "3", "--out", "curve.csv",
     ),
+    **{
+        f"entropy-mvdeg-{name}": (
+            "entropy", "--input", "three.csv", "--method", "mvdeg", "--graph", graph,
+            "--m", "3", "--max-scale", "5", "--out", "curve.csv",
+        )
+        for name, graph in (
+            ("zero", "zero"), ("complete", "complete"), ("correlation", "correlation"),
+            ("json-graph", "graph3.json"),
+        )
+    },
+    "entropy-mvdeg-m6": (
+        "entropy", "--input", "three.csv", "--graph", "graph3.json", "--m", "6", "--max-scale", "3",
+        "--out", "curve.csv",
+    ),
+    "entropy-mvdeg-max-scale-20": (
+        "entropy", "--input", "three.csv", "--graph", "correlation", "--max-scale", "20",
+        "--out", "curve.csv",
+    ),
+    "entropy-classical": (
+        "entropy", "--input", "two.csv", "--method", "classical", "--m", "3", "--max-scale", "4",
+        "--out", "curve.csv",
+    ),
+    "entropy-classical-refused": (
+        "entropy", "--input", "three.csv", "--method", "classical", "--cap", "1000", "--out", "curve.csv",
+    ),
+    "entropy-constant": ("entropy", "--input", "constant.csv", "--max-scale", "3", "--out", "curve.csv"),
+    "entropy-constant-correlation": (
+        "entropy", "--input", "constant.csv", "--graph", "correlation", "--out", "curve.csv",
+    ),
+    "graph-zero": ("graph", "--kind", "zero", "--p", "3", "--out", "g.json"),
+    "graph-complete": ("graph", "--kind", "complete", "--p", "3", "--out", "g.json"),
+    "graph-correlation": ("graph", "--kind", "correlation", "--signal", "three.csv", "--out", "g.json"),
 }
 
 _MASK = "<masked>"

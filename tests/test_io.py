@@ -476,7 +476,7 @@ def test_timing_report_files(tmp_path):
     with open(json_path) as f:
         payload = json.load(f)
     assert payload["seed"] == 0
-    assert set(payload["environment"]) == {"python", "numpy", "cpu", "threads"}
+    assert set(payload["environment"]) == {"python", "numpy", "cpu", "threads", "blas_core"}
     outcomes = {cell["method"]: cell["outcome"] for cell in payload["cells"]}
     assert outcomes == {"mvdeg": "ok", "classical": "refused-capacity"}
     with open(csv_path, newline="") as f:

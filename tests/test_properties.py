@@ -1,8 +1,11 @@
 """Property tests of the hop kernel and the graph-based pipeline over random inputs."""
 
 import math
+import subprocess
+import sys
 import warnings
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 
 import numpy as np
@@ -38,8 +41,12 @@ from mvdeg import (
 )
 from mvdeg.cli import main
 from mvdeg.entropy import (
+    _CELL_BITS,
+    _CELL_RANGE,
     _CHUNK_ELEMENTS,
     _CHUNK_MIN_ROWS,
+    _CLASS_TABLES,
+    _class_table,
     _classes_from_z,
     _moments,
     _standardize,
@@ -410,6 +417,90 @@ def test_class_map_matches_the_whole_basis_map_at_every_class_edge():
             zs += [up, down]
         z = np.concatenate(zs + [np.array([-np.inf, -40.0, 0.0, 40.0, np.inf])])
         assert np.array_equal(_classes_from_z(z.copy(), c), basis_class_map(z, c))
+
+
+# ── the class table against ndtr ────────────────────────────────────────────
+
+# c = 2 has its class edge z = 0 on a cell edge; at c = 10^5 most cells fall back
+TABLE_CS = [2, 5, 6, 64, 10 ** 5]
+
+
+def cell_edges():
+    """Every edge of a table cell, and one cell beyond each end."""
+    half = _CELL_RANGE << _CELL_BITS
+    return np.arange(-half - 1, half + 2) / 2.0 ** _CELL_BITS
+
+
+def around(points, ulps=8):
+    """points and the `ulps` floats on either side of each, and each point moved by
+    2^-60 .. 2^-40, which the table's offset add can round onto the point."""
+    up, down, zs = points, points, [points]
+    for _ in range(ulps):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        zs += [up, down]
+    for bits in (60, 54, 52, 51, 50, 48, 44, 40):
+        zs += [points - 2.0 ** -bits, points + 2.0 ** -bits]
+    return np.concatenate(zs)
+
+
+@pytest.mark.parametrize("c", TABLE_CS)
+def test_table_class_map_equals_ndtr_around_every_cell_edge(c):
+    z = around(cell_edges())
+    assert np.array_equal(_classes_from_z(z.copy(), c), basis_class_map(z, c))
+
+
+@pytest.mark.parametrize("c", TABLE_CS)
+def test_table_class_map_equals_ndtr_around_every_class_edge(c):
+    z = around(ndtri(np.arange(1, c) / c))
+    assert np.array_equal(_classes_from_z(z.copy(), c), basis_class_map(z, c))
+
+
+@pytest.mark.parametrize("c", TABLE_CS)
+def test_table_class_map_at_the_ends_of_the_float_range(c):
+    tiny = np.nextafter(0.0, 1.0)
+    specials = np.array([
+        np.inf, 1e300, 16.0, 16.0 - 2.0 ** -_CELL_BITS, 15.0, 1e-15, 2.0 ** -51,
+        tiny, 2.2e-308, 2.2250738585072014e-308, 0.0,
+    ])
+    z = np.concatenate([specials, -specials])
+    assert np.signbit(z[-1])  # -0.0
+    for shaped in (z, z.reshape(2, -1), z.reshape(-1, 2).T):
+        classes = _classes_from_z(shaped.copy(), c)
+        assert classes.dtype == np.int64 and classes.shape == shaped.shape
+        assert np.array_equal(classes, basis_class_map(shaped, c))
+
+
+@EXAMPLES
+@given(st.integers(2, 1000), st.floats(-3.0, 3.0), st.integers(0, 2 ** 32 - 1))
+def test_table_class_map_equals_ndtr_on_scaled_normal_z(c, decades, seed):
+    z = np.random.default_rng(seed).standard_normal(2048) * 10.0 ** decades
+    assert np.array_equal(_classes_from_z(z.copy(), c), basis_class_map(z, c))
+
+
+def test_class_tables_are_read_only_and_at_most_class_tables_are_kept():
+    cs = range(3, 3 + 2 * _CLASS_TABLES)
+    for c in cs:
+        _classes_from_z(np.linspace(-3.0, 3.0, 7), c)
+        assert not _class_table(c).flags.writeable
+    info = _class_table.cache_info()
+    assert info.maxsize == _CLASS_TABLES and info.currsize == _CLASS_TABLES
+
+
+def test_class_tables_are_built_on_first_use_not_at_import():
+    code = "import mvdeg.entropy as e; print(e._class_table.cache_info().currsize)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["0"]
+
+
+def test_pool_threads_share_the_class_tables():
+    # threads that build and read the same tables give the serial classes
+    zs = [np.random.default_rng(seed).standard_normal(50_000) for seed in range(8)]
+    jobs = [(z, c) for z in zs for c in (4, 7, 11)]
+    _class_table.cache_clear()
+    with ThreadPoolExecutor(4) as pool:
+        got = list(pool.map(lambda job: _classes_from_z(job[0].copy(), job[1]), jobs))
+    for (z, c), classes in zip(jobs, got):
+        assert np.array_equal(classes, basis_class_map(z, c))
 
 
 # ── time chunks against the whole-basis path ────────────────────────────────
