@@ -17,7 +17,7 @@ import tempfile
 from pathlib import Path
 
 from mvdeg import gen_wgn, write_signal_csv
-from test_cli_contract import CASES, DATA, INPUTS, run_case
+from test_cli_contract import CASES, DATA, INPUTS, ONE_CPU, run_case
 
 
 def _rows(header: str, values) -> str:
@@ -32,6 +32,8 @@ def write_inputs() -> None:
     write_signal_csv(gen_wgn(1, 60, 5), INPUTS / "one.csv")
     write_signal_csv(gen_wgn(2, 40, 6), INPUTS / "two.csv")
     write_signal_csv(gen_wgn(3, 400, 8), INPUTS / "three.csv")
+    pooled = gen_wgn(8, 6400, 9).values.T
+    (INPUTS / "pooled.csv").write_text(_rows(",".join(f"c{k}" for k in range(8)), pooled))
     (INPUTS / "constant.csv").write_text(_rows("a,b", [[1.5, -2.0]] * 30))
     graph = "[[0.0, 0.8, 0.0], [0.8, 0.0, 0.3], [0.0, 0.3, 0.0]]"
     (INPUTS / "graph3.json").write_text(f'{{"n": 3, "directed": false, "weights": {graph}}}\n')
@@ -59,7 +61,7 @@ def write_case(case: str, argv: tuple[str, ...]) -> None:
     if target.exists():
         shutil.rmtree(target)
     with tempfile.TemporaryDirectory() as workdir:
-        code, out, err, files = run_case(argv, Path(workdir))
+        code, out, err, files = run_case(argv, Path(workdir), one_cpu=case in ONE_CPU)
     (target / "files").mkdir(parents=True)
     (target / "exit_code").write_text(f"{code}\n")
     (target / "stdout").write_text(out)

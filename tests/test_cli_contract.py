@@ -6,7 +6,11 @@ data/cli_contract/inputs, and must reproduce data/cli_contract/<case>/ exactly:
 command wrote. Bench reports carry wall times and the environment, so those are
 masked on both sides. The expected data is written by make_cli_contract.py,
 which this test never calls; regenerating it changes what the test pins. Like
-the float.hex goldens, the data is pinned to the installed numpy version.
+the float.hex goldens, the data is pinned to the installed numpy version, and
+its usage messages to the installed Python's argparse. The
+cases in ONE_CPU run the command line in a child process limited to one CPU,
+where the curve's thread pool has a single worker, and must write the same
+bytes as the in-process run. Usage messages are formatted at COLUMNS=80.
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -26,6 +32,7 @@ from mvdeg.cli import main
 
 DATA = Path(__file__).resolve().parent / "data" / "cli_contract"
 INPUTS = DATA / "inputs"
+SOURCE = Path(__file__).resolve().parent.parent / "src"
 
 _GAUSSIAN = ("graph", "--kind", "gaussian", "--sigma1-sq", "1.0", "--sigma2", "2.5", "--out", "g.json")
 
@@ -145,7 +152,67 @@ CASES: dict[str, tuple[str, ...]] = {
     "graph-zero": ("graph", "--kind", "zero", "--p", "3", "--out", "g.json"),
     "graph-complete": ("graph", "--kind", "complete", "--p", "3", "--out", "g.json"),
     "graph-correlation": ("graph", "--kind", "correlation", "--signal", "three.csv", "--out", "g.json"),
+    # N * p = 51,200 samples: the curve runs its scales on the thread pool
+    **{
+        name: (
+            "entropy", "--input", "pooled.csv", "--method", "mvdeg", "--graph", "correlation",
+            "--out", "curve.csv",
+        )
+        for name in ("entropy-mvdeg-pooled", "entropy-mvdeg-pooled-one-cpu")
+    },
+    "version": ("--version",),
+    **{
+        f"usage-{name}": argv
+        for name, argv in (
+            ("no-command", ()),
+            ("unknown-command", ("frobnicate",)),
+            ("unknown-choice", ("generate", "--kind", "violet", "--n", "10", "--out", "s.csv")),
+            ("missing-required", ("generate", "--kind", "wgn", "--p", "2", "--n", "10")),
+            ("not-an-integer", ("entropy", "--input", "two.csv", "--m", "four", "--out", "c.csv")),
+            ("unknown-flag", (
+                "ensemble", "--experiment", "mixture", "--threads", "2", "--out", "ens",
+            )),
+            ("mixture-no-q", ("generate", "--kind", "mixture", "--n", "16", "--out", "s.csv")),
+            ("mixture-p2", (
+                "generate", "--kind", "mixture", "--q", "1", "--p", "2", "--n", "16", "--out", "s.csv",
+            )),
+            ("correlated-no-corr", ("generate", "--kind", "correlated", "--n", "16", "--out", "s.csv")),
+            ("correlated-p-conflict", (
+                "generate", "--kind", "correlated", "--corr", "corr.json", "--p", "2", "--n", "16",
+                "--out", "s.csv",
+            )),
+            ("wgn-no-p", ("generate", "--kind", "wgn", "--n", "16", "--out", "s.csv")),
+            ("graph-zero-no-p", ("graph", "--kind", "zero", "--out", "g.json")),
+            ("graph-correlation-no-signal", ("graph", "--kind", "correlation", "--out", "g.json")),
+            ("graph-gaussian-no-sigma", (
+                "graph", "--kind", "gaussian", "--coords", "stations.csv", "--out", "g.json",
+            )),
+            ("entropy-gaussian-no-coords", (
+                "entropy", "--input", "three.csv", "--graph", "gaussian", "--out", "c.csv",
+            )),
+            ("entropy-missing-input", ("entropy", "--input", "missing.csv", "--out", "c.csv")),
+            ("bench-empty-ns", ("bench", "--Ns", ",,", "--out", "bench")),
+            ("bench-ns-not-integers", ("bench", "--Ns", "20,x", "--out", "bench")),
+            ("bench-empty-methods", ("bench", "--Ns", "20", "--methods", ",", "--out", "bench")),
+            ("bench-unknown-method", ("bench", "--Ns", "20", "--methods", "fft", "--out", "bench")),
+            ("ensemble-empty-degrees", (
+                "ensemble", "--experiment", "degrees", "--degrees", ",,", "--out", "ens",
+            )),
+            ("ensemble-degrees-not-numbers", (
+                "ensemble", "--experiment", "degrees", "--degrees", "0.5,x", "--out", "ens",
+            )),
+        )
+    },
 }
+ONE_CPU = frozenset({"entropy-mvdeg-pooled-one-cpu"})
+
+# pins the process to one CPU, then runs the command line on the arguments
+_ONE_CPU_CHILD = """
+import os, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from mvdeg.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
 
 _MASK = "<masked>"
 _WALL_TIME = re.compile(r"\d+\.\d{6}s")
@@ -170,37 +237,55 @@ def _mask_bench_file(name: str, data: bytes) -> bytes:
     return out.getvalue().encode()
 
 
-def run_case(argv: tuple[str, ...], workdir: Path) -> tuple[int, str, str, dict[str, bytes]]:
-    """Run main(argv) in workdir, seeded with the inputs; return the exit code,
-    stdout, stderr and {relative path: bytes} of every file it wrote."""
+def run_case(
+    argv: tuple[str, ...], workdir: Path, one_cpu: bool = False
+) -> tuple[int, str, str, dict[str, bytes]]:
+    """Run main(argv) in workdir, seeded with the inputs, at COLUMNS=80; in a child
+    process on one CPU when one_cpu. Return the exit code, stdout, stderr and
+    {relative path: bytes} of every file it wrote."""
     inputs = set()
     for source in sorted(INPUTS.iterdir()):
         shutil.copyfile(source, workdir / source.name)
         inputs.add(source.name)
-    stdout, stderr = io.StringIO(), io.StringIO()
-    cwd = os.getcwd()
-    os.chdir(workdir)
-    try:
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = main(list(argv))
-    finally:
-        os.chdir(cwd)
+    if one_cpu:
+        path = [str(SOURCE), *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+        child = subprocess.run(
+            [sys.executable, "-c", _ONE_CPU_CHILD, *argv], cwd=workdir, capture_output=True,
+            text=True, env=dict(os.environ, COLUMNS="80", PYTHONPATH=os.pathsep.join(path)),
+        )
+        code, out, err = child.returncode, child.stdout, child.stderr
+    else:
+        stdout, stderr = io.StringIO(), io.StringIO()
+        cwd, columns = os.getcwd(), os.environ.get("COLUMNS")
+        os.chdir(workdir)
+        os.environ["COLUMNS"] = "80"  # argparse wraps usage lines to the terminal width
+        try:
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(list(argv))
+        finally:
+            os.chdir(cwd)
+            if columns is None:
+                del os.environ["COLUMNS"]
+            else:
+                os.environ["COLUMNS"] = columns
+        out, err = stdout.getvalue(), stderr.getvalue()
     files = {
         path.relative_to(workdir).as_posix(): path.read_bytes()
         for path in sorted(workdir.rglob("*"))
         if path.is_file() and path.relative_to(workdir).as_posix() not in inputs
     }
-    out = stdout.getvalue()
-    if argv[0] == "bench":
+    if argv[:1] == ("bench",):
         out = _WALL_TIME.sub(_MASK, out)
         files = {name: _mask_bench_file(name, data) for name, data in files.items()}
-    return code, out, stderr.getvalue(), files
+    return code, out, err, files
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cli_output_matches_contract(case, tmp_path):
+    if case in ONE_CPU and not hasattr(os, "sched_setaffinity"):
+        pytest.skip("no CPU affinity API")
     expected = DATA / case
-    code, out, err, files = run_case(CASES[case], tmp_path)
+    code, out, err, files = run_case(CASES[case], tmp_path, one_cpu=case in ONE_CPU)
     assert code == int((expected / "exit_code").read_text())
     assert out == (expected / "stdout").read_text()
     assert err == (expected / "stderr").read_text()
