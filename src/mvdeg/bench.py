@@ -16,13 +16,12 @@ import platform
 import statistics
 import sys
 import time
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .blas import _blas_threads, _one_blas_thread, _openblas
 from .entropy import (
     EmbeddingConfig,
     EntropyCurve,
@@ -49,20 +48,6 @@ from .signal import MultivariateSignal
 GRAPH_POLICIES = ("zero", "complete", "theoretical", "estimated")
 
 
-def _openblas() -> ctypes.CDLL | None:
-    """numpy's bundled OpenBLAS; None where it is not found."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("libscipy_openblas64_*.so*")):
-        return ctypes.CDLL(str(path))
-    return None
-
-
-def _blas_threads() -> int | None:
-    """Threads numpy's bundled OpenBLAS runs with; None where it is not found."""
-    lib = _openblas()
-    return None if lib is None else lib.scipy_openblas_get_num_threads64_()
-
-
 def _blas_core() -> str | None:
     """The CPU kernel numpy's bundled OpenBLAS runs, such as "Haswell"; None where
     it is not found. Its products can round differently under another kernel."""
@@ -72,23 +57,6 @@ def _blas_core() -> str | None:
     corename = lib.scipy_openblas_get_corename64_
     corename.restype = ctypes.c_char_p
     return corename().decode()
-
-
-@contextmanager
-def _one_blas_thread():
-    """Run the block with numpy's bundled OpenBLAS on one thread, then restore its
-    thread count. Threaded, it splits each (rows, p) x (p, p) hop product, and
-    a p = 10, N = 10k scale took about 2x as long on 2 cores."""
-    lib = _openblas()
-    if lib is None:
-        yield
-        return
-    before = lib.scipy_openblas_get_num_threads64_()
-    lib.scipy_openblas_set_num_threads64_(1)
-    try:
-        yield
-    finally:
-        lib.scipy_openblas_set_num_threads64_(before)
 
 
 def environment_info() -> dict:
@@ -107,7 +75,7 @@ def environment_info() -> dict:
         "python": sys.version.split()[0],
         "numpy": np.__version__,
         "cpu": cpu,
-        "threads": _blas_threads(),
+        "threads": None if _openblas() is None else _blas_threads(),
         "blas_core": _blas_core(),
     }
 
@@ -279,7 +247,8 @@ def _realization_curves(
         ]
 
     pooled = not _scales_pooled(spec.n_samples * spec.p)
-    per_realization = _pool_map(realization, range(realizations), pooled)
+    with _one_blas_thread():  # pinned once, not once per realization's curve
+        per_realization = _pool_map(realization, range(realizations), pooled)
     return [list(per_policy) for per_policy in zip(*per_realization)]
 
 

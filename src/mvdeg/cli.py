@@ -15,13 +15,13 @@ from importlib.metadata import PackageNotFoundError, version
 
 from .bench import (
     GRAPH_POLICIES,
-    _one_blas_thread,
     compare_graph_policies,
     run_noise_experiment,
     run_timing_sweep,
     structured_correlation_sets,
     uniform_correlation,
 )
+from .blas import _one_blas_thread
 from .entropy import (
     EmbeddingConfig,
     PATTERN_CAP,

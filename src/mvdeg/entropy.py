@@ -25,8 +25,8 @@ from functools import lru_cache
 from itertools import chain, combinations
 
 import numpy as np
-from scipy.special import ndtr
 
+from .blas import _one_blas_thread
 from .errors import (
     CapacityError,
     DimensionError,
@@ -35,12 +35,17 @@ from .errors import (
 )
 from .graphs import WeightedGraph, build_zero_graph
 from .kron import _hop_columns
-from .signal import MultivariateSignal, _channel_sd
+from .signal import _BLOCK_SAMPLES, MultivariateSignal, _moments
 
 PATTERN_CAP = 10 ** 8  # refuse classical enumeration beyond this many patterns
 # mvdeg_single_scale streams time in chunks of about _CHUNK_ELEMENTS samples
 # over all channels, never fewer than _CHUNK_MIN_ROWS rows: from there up,
 # OpenBLAS (rows, p) x (p, p) products match the whole product bit for bit.
+# A chunk is standardized channel-major, where numpy's inner loops run along
+# time, and the hop kernel copies it once into the C-ordered (rows, p) array it
+# steps over (writing the z-scores straight into that layout took 2x as long);
+# each hop column comes out of its division already in z-cells (below), and
+# its class digits fold into the codes.
 _CHUNK_ELEMENTS = 2 ** 18
 _CHUNK_MIN_ROWS = 4096
 # One rule for where the thread pool sits (_scales_pooled). An mvdeg curve of
@@ -51,12 +56,14 @@ _CHUNK_MIN_ROWS = 4096
 # pools never nest. On 2 cores a 20-scale curve's pooled/serial time ratio
 # crosses 1 between 48k and 56k samples.
 _POOL_MIN_SAMPLES = 50_000
-# _classes_from_z reads classes from a table per class count over z-cells of
-# width 2^-_CELL_BITS on [-_CELL_RANGE, _CELL_RANGE), 32,768 cells (256 KiB).
+# _digits_from_cells reads class digits (class - 1) from a table per class
+# count over z-cells of width 2^-_CELL_BITS on [-_CELL_RANGE, _CELL_RANGE),
+# 32,768 cells (256 KiB); the pipelines hand it z 2^_CELL_BITS, which the hop
+# kernel makes in its own division and the edgeless path in its standardize.
 # Each table is built on first use, and the _CLASS_TABLES most recently used
 # are kept (by lru_cache, which pool threads may share). Samples in cells next
-# to a class edge fall back to ndtr; as c grows they are more of the data, and
-# on 2 cores the table stopped paying at about c = 150-300.
+# to a class edge, marked -1, fall back to ndtr; as c grows they are more of the
+# data, and on 2 cores the table stopped paying at about c = 150-300.
 _CELL_BITS = 10
 _CELL_RANGE = 16
 _CLASS_TABLES = 8
@@ -101,7 +108,7 @@ class DispersionHistogram:
                 raise DimensionError(f"pattern {pattern} leaves class range 1..{c}")
             if count < 1:
                 raise DimensionError(f"pattern {pattern} has nonpositive count {count}")
-        codes = _encode_patterns(np.array(list(counts), dtype=np.int64).reshape(-1, m).T, c)
+        codes = _encode_patterns(np.array(list(counts), dtype=np.int64).reshape(-1, m).T - 1, c)
         order = np.argsort(codes)
         self.codes = codes[order]
         self.code_counts = np.array(list(counts.values()), dtype=np.int64)[order]
@@ -137,7 +144,7 @@ class DispersionHistogram:
         _check_code_range(m, c)
         if rows.size and (rows.min() < 1 or rows.max() > c):
             raise DimensionError(f"class rows leave class range 1..{c}")
-        return cls._from_codes([_encode_patterns(rows.astype(np.int64, copy=False).T, c)], m, c)
+        return cls._from_codes([_encode_patterns(rows.astype(np.int64, copy=False).T - 1, c)], m, c)
 
     @classmethod
     def _from_codes(cls, chunks: Iterable[np.ndarray], m: int, c: int) -> "DispersionHistogram":
@@ -191,56 +198,68 @@ class EntropyCurve:
 # ── shared numeric steps ─────────────────────────────────────────────────────
 
 
-def _moments(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-channel mean and sd (denominator N-1) of (p, N) samples, as (p, 1) columns.
-    Raises FloatRangeError, via _channel_sd, for an sd that overflows float64 (z-scores
-    NaN or 0) or underflows on a varying channel (which would read as constant)."""
-    sd = _channel_sd(values)
-    return values.mean(axis=1, keepdims=True), sd
-
-
 def _standardize(
-    values: np.ndarray, moments: tuple[np.ndarray, np.ndarray] | None = None
+    values: np.ndarray, moments: tuple[np.ndarray, np.ndarray] | None = None, unit: float = 1.0
 ) -> np.ndarray:
-    """Per-channel z-scores (sd with denominator N-1); constant channels map to 0.
+    """Per-channel z-scores (sd with denominator N-1) in units of `unit`, a power of
+    two; constant channels map to 0.
 
     moments defaults to _moments(values); a time slice passes the whole
     signal's, and gets the same values as the slice of the whole z-scores.
     """
     mu, sd = _moments(values) if moments is None else moments
-    out = np.zeros_like(values)
-    np.divide(values - mu, sd, out=out, where=sd > 0)
+    out = np.subtract(values, mu)
+    varying = sd > 0
+    np.divide(out, np.where(varying, sd * unit, 1.0), out=out)
+    if not varying.all():
+        out[~varying[:, 0]] = 0.0
     return out
 
 
 def _classes_from_z(z: np.ndarray, c: int) -> np.ndarray:
     """Map z-scores through the normal CDF onto int64 classes 1..c, overwriting z.
 
-    The classes are those of _ndtr_classes, read from _class_table(c) at cell
-    trunc(clip(z 2^_CELL_BITS + _CELL_RANGE 2^_CELL_BITS)). Scaling by 2^_CELL_BITS
-    is exact and the add rounds up by less than one cell, so the cell found is
-    the true cell or the one above it, and a class the table holds is exact.
-    Samples in the cells it leaves at 0 take _ndtr_classes of their z, which
-    the scaled z gives back exactly.
+    A class is 1 + the digit _digits_from_cells reads for z 2^_CELL_BITS (an
+    exact scaling), clipped first to the table's end cells so that any z, +-inf
+    too, maps.
+    """
+    half = _CELL_RANGE << _CELL_BITS
+    z *= 2.0 ** _CELL_BITS
+    np.clip(z, -half, half - 1, out=z)
+    classes = _digits_from_cells(z, c)
+    classes += 1
+    return classes
+
+
+def _digits_from_cells(cells: np.ndarray, c: int) -> np.ndarray:
+    """Class digits 0..c-1 (class - 1) as int64, of z-scores given as cells = z 2^_CELL_BITS.
+
+    The digits are those of _ndtr_classes, read from _class_table(c) at cell
+    trunc(cells + _CELL_RANGE 2^_CELL_BITS). The add rounds up by less than one
+    cell, so the cell found is the true cell or the one above it, and a digit
+    the table holds is exact. A cell index past either end of the table reads
+    that end's cell, which the cast gets right for |cells| below 2^62; the
+    pipelines' are below 2^10 sqrt(N), as |z| <= (N - 1) / sqrt(N). Samples in
+    the cells the table marks -1, found in one flatnonzero scan, take
+    _ndtr_classes of cells 2^-_CELL_BITS, which gives their z back exactly.
     """
     table = _class_table(int(c))
-    half = _CELL_RANGE << _CELL_BITS  # cells below z = 0
-    z *= 2.0 ** _CELL_BITS
-    np.clip(z, -half, half - 1, out=z)  # only the end cells, which both hold a class
-    classes = np.empty(z.shape, dtype=np.int64)
-    np.add(z, half, out=classes, casting="unsafe")  # the cast truncates
-    np.take(table, classes, out=classes, mode="clip")
-    near_edge = classes == 0
-    classes[near_edge] = _ndtr_classes(z[near_edge] / 2.0 ** _CELL_BITS, c)
-    return classes
+    digits = np.empty(cells.shape, dtype=np.int64)
+    np.add(cells, _CELL_RANGE << _CELL_BITS, out=digits, casting="unsafe")  # the cast truncates
+    np.take(table, digits, out=digits, mode="clip")
+    near_edge = np.flatnonzero(digits < 0)
+    flat = digits.reshape(-1)
+    flat[near_edge] = _ndtr_classes(cells.reshape(-1)[near_edge] / 2.0 ** _CELL_BITS, c) - 1
+    return digits
 
 
 @lru_cache(maxsize=_CLASS_TABLES)
 def _class_table(c: int) -> np.ndarray:
-    """Read-only int64 class per z-cell for _classes_from_z; 0 where it must fall back.
+    """Read-only int64 class digit (class - 1) per z-cell for _digits_from_cells; -1
+    where it must fall back.
 
     Cell j spans [e_j, e_(j+1)) with e_j = j 2^-_CELL_BITS - _CELL_RANGE. It holds
-    a class when _ndtr_classes gives that class at e_(j-1) .. e_(j+2), the edges
+    a digit when _ndtr_classes gives that class at e_(j-1) .. e_(j+2), the edges
     of the cell and of both its neighbours, so the class holds over every z
     whose index lands on j. Cell 0 also stands for all z below -_CELL_RANGE and
     the last cell for all z above; every class edge ndtri(k/c) lies within
@@ -252,8 +271,9 @@ def _class_table(c: int) -> np.ndarray:
     # in its own pages: a table made mid-scale on the malloc heap would keep
     # the heap from shrinking below it for as long as it is cached
     table = np.frombuffer(mmap.mmap(-1, 8 * safe.size), dtype=np.int64)
-    np.multiply(at[1:-2], safe, out=table)
-    assert table[0] == 1 and table[-1] == c, f"end cells of the class table for c={c}"
+    table.fill(-1)
+    np.subtract(at[1:-2], 1, out=table, where=safe)
+    assert table[0] == 0 and table[-1] == c - 1, f"end cells of the class table for c={c}"
     table.flags.writeable = False
     return table
 
@@ -262,7 +282,10 @@ def _ndtr_classes(z: np.ndarray, c: int) -> np.ndarray:
     """round(c * Phi(z) + 0.5) as int64, overwriting z: with ties away from zero
     that is floor(c * Phi(z) + 1), capped at c where Phi(z) = 1. The class edges
     are those of scipy's ndtr, which is not monotone within one ulp of some of them.
+    scipy is imported on first use, not with mvdeg: it is most of the import time.
     """
+    from scipy.special import ndtr
+
     ndtr(z, out=z)
     z *= c
     z += 1.0
@@ -270,15 +293,14 @@ def _ndtr_classes(z: np.ndarray, c: int) -> np.ndarray:
 
 
 def _encode_patterns(columns: Iterable[np.ndarray], c: int) -> np.ndarray:
-    """Base-c int64 code per pattern, sum (class_j - 1) c^(m-1-j), from 1-D class
-    columns (values 1..c, first column most significant). Folds code = code * c +
-    (class - 1) into a new array, taking one column at a time from a generator."""
+    """Base-c int64 code per pattern, sum digit_j c^(m-1-j), from columns of class
+    digits (class - 1, values 0..c-1, first column most significant). Folds code =
+    code * c + digit into a new array, taking one column at a time from a generator."""
     columns = iter(columns)
-    code = np.subtract(next(columns), 1, dtype=np.int64)
+    code = np.array(next(columns), dtype=np.int64)
     for column in columns:
         code *= c
         code += column
-        code -= 1
     return code
 
 
@@ -322,7 +344,9 @@ def coarse_grain(signal: MultivariateSignal, tau: int) -> MultivariateSignal:
     """Average non-overlapping windows of tau samples per channel.
 
     Output length is floor(N / tau); a scale leaving fewer than 2 samples is
-    undefined and raises ScaleUndefinedError.
+    undefined and raises ScaleUndefinedError. The means are those of
+    values.reshape(p, N / tau, tau).mean(axis=2) bit for bit (_window_sums),
+    computed a block of _BLOCK_SAMPLES samples at a time and kept without a copy.
     """
     if tau < 1:
         raise DimensionError(f"scale must be >= 1, got {tau}")
@@ -331,8 +355,46 @@ def coarse_grain(signal: MultivariateSignal, tau: int) -> MultivariateSignal:
         raise ScaleUndefinedError(tau, length)
     if tau == 1:
         return signal
-    v = signal.values[:, : length * tau].reshape(signal.p, length, tau).mean(axis=2)
-    return MultivariateSignal(v, labels=signal.labels)
+    windows = signal.values[:, : length * tau].reshape(signal.p, length, tau)
+    means = np.empty((signal.p, length))
+    step = max(1, _BLOCK_SAMPLES // (length * tau))  # channels per block
+    for first in range(0, signal.p, step):
+        block = means[first : first + step]
+        _window_sums(windows[first : first + step], 0, tau, block)
+        block += 0.0  # numpy's sum starts from +0.0, so a window of -0.0s sums to +0.0
+        block /= tau
+    means.flags.writeable = False
+    return MultivariateSignal(means, labels=signal.labels)
+
+
+def _window_sums(windows: np.ndarray, start: int, n: int, out: np.ndarray) -> None:
+    """Write the sums over positions start .. start+n-1 of the last axis of the 3-D
+    windows into out, adding in the order of numpy's pairwise sum, one strided add per
+    window position: under 8 terms in sequence; up to 128 in eight accumulators
+    (position i goes to i mod 8) whose totals join as ((0+1)+(2+3))+((4+5)+(6+7)),
+    then the rest in sequence; above 128, as the sum of the two halves split at a
+    multiple of 8. Only a zero sum may differ from numpy's, in its sign.
+    """
+    if n < 8:
+        np.add(windows[..., start], windows[..., start + 1], out=out)
+        for i in range(start + 2, start + n):
+            out += windows[..., i]
+    elif n <= 128:
+        whole = start + n - n % 8  # end of the positions the accumulators take
+        acc = windows[..., start : start + 8].transpose(2, 0, 1).copy()
+        for i in range(start + 8, whole, 8):
+            acc += windows[..., i : i + 8].transpose(2, 0, 1)
+        np.add(acc[0::2], acc[1::2], out=acc[0::2])
+        np.add(acc[0::4], acc[2::4], out=acc[0::4])
+        np.add(acc[0], acc[4], out=out)
+        for i in range(whole, start + n):
+            out += windows[..., i]
+    else:
+        half = n // 2 - n // 2 % 8
+        _window_sums(windows, start, half, out)
+        rest = np.empty_like(out)
+        _window_sums(windows, start + half, n - half, rest)
+        out += rest
 
 
 def ncdf_map(signal: MultivariateSignal, c: int) -> np.ndarray:
@@ -412,16 +474,22 @@ def mvdeg_single_scale(
         )
     moments = _moments(values)
     edgeless = weights.shape == (p, p) and not weights.any()
+    cell = 2.0 ** -_CELL_BITS  # z-scores in this unit are z-cells
+    bound = math.sqrt(signal.n_samples)  # |z| <= (N - 1) / sqrt(N), Samuelson's inequality
 
     def chunk_codes():
         for start, end in _time_chunks(n_rows, p):
             rows = end - start
-            z = _standardize(values[:, start : end + m - 1], moments)
-            if edgeless:  # drop z, so the block and its classes are not both held
-                classes, z = _classes_from_z(z, c), None
-                columns = (classes[:, k : k + rows] for k in range(m))
+            block = values[:, start : end + m - 1]
+            if edgeless:
+                digits = _digits_from_cells(_standardize(block, moments, cell), c)
+                columns = (digits[:, k : k + rows] for k in range(m))
             else:
-                columns = (_classes_from_z(u[:rows], c) for u in _hop_columns(z.T, weights, m))
+                z = _standardize(block, moments).T  # the kernel copies it time-major
+                columns = (
+                    _digits_from_cells(u[:rows], c)
+                    for u in _hop_columns(z, weights, m, cell, bound)
+                )
             yield _encode_patterns(columns, c).ravel()
 
     histogram = DispersionHistogram._from_codes(chunk_codes(), m, c)
@@ -442,14 +510,16 @@ def mvdeg_curve(
     graph: WeightedGraph,
     config: EmbeddingConfig,
 ) -> EntropyCurve:
-    """Graph-based entropy versus scale for one signal; its scales run on the
-    thread pool when N * p is at least _POOL_MIN_SAMPLES, serially otherwise."""
+    """Graph-based entropy versus scale for one signal, on one OpenBLAS thread; its
+    scales run on the thread pool when N * p is at least _POOL_MIN_SAMPLES,
+    serially otherwise."""
 
     def entropy_at(tau: int) -> float:
         return mvdeg_single_scale(coarse_grain(signal, tau), graph, config.m, config.c)[0]
 
     pooled = _scales_pooled(signal.n_samples * signal.p)
-    return _curve(signal.n_samples, config, entropy_at, "mvdeg", graph.describe(), pooled)
+    with _one_blas_thread():  # the hop products are too small to split
+        return _curve(signal.n_samples, config, entropy_at, "mvdeg", graph.describe(), pooled)
 
 
 def pattern_counts(n_samples: int, p: int, m: int) -> tuple[int, int]:
@@ -503,8 +573,10 @@ def classical_mvde(
     windows = length - m + 1
     _check_capacity(length, coarse.p, m, pattern_cap)
 
-    # one class view per window position, in the order above
-    lagged = [row[lag : lag + windows] for row in ncdf_map(coarse, c) for lag in range(m)]
+    digits = ncdf_map(coarse, c)
+    digits -= 1
+    # one digit view per window position, in the order above
+    lagged = [row[lag : lag + windows] for row in digits for lag in range(m)]
     codes = (_encode_patterns(subset, c) for subset in combinations(lagged, m))
     histogram = DispersionHistogram._from_codes(codes, m, c)
     return normalized_entropy(histogram), histogram

@@ -3,8 +3,11 @@
 Every generator draws each channel from its own substream, derived from
 (seed, channel index) through numpy's SeedSequence, so adding or reordering
 channels never perturbs the others and realizations are reproducible
-bit-for-bit on a fixed numpy version. The algorithm/version tag travels with
-generated data so downstream golden statistics can be pinned to it.
+bit-for-bit on a fixed numpy version. Correlated signals are L @ white, a
+BLAS product, so theirs are reproducible only on a fixed numpy and a fixed
+OpenBLAS kernel: another kernel can round the product differently. The
+algorithm/version tag travels with generated data so downstream golden
+statistics can be pinned to it.
 """
 
 from __future__ import annotations

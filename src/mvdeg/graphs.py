@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateChannelError, DimensionError
-from .signal import MultivariateSignal, _as_readonly, _channel_sd
+from .signal import MultivariateSignal, _as_readonly, _moments
 
 
 @dataclass(frozen=True)
@@ -145,7 +145,7 @@ def estimate_correlation_graph(signal: MultivariateSignal) -> WeightedGraph:
         raise DimensionError("correlation graph needs at least 2 channels")
     if signal.n_samples < 3:
         raise DimensionError("correlation graph needs at least 3 samples")
-    constant = np.flatnonzero(_channel_sd(signal.values) == 0)
+    constant = np.flatnonzero(_moments(signal.values)[1] == 0)
     if constant.size:
         raise DegenerateChannelError(int(constant[0]))
     r = np.corrcoef(signal.values)

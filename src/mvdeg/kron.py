@@ -15,17 +15,23 @@ each column into the chunk's codes, so its arrays are chunk-sized. A row's
 hop values depend only on the samples at and after it, and the per-step
 rescale only on W, so a chunk's columns are the whole signal's rows, bit for
 bit once the chunk is long enough for BLAS to round its (rows, p) x (p, p)
-product as it rounds the whole one (entropy._CHUNK_MIN_ROWS). On the edgeless
-graph column k is column 0 shifted k samples, which mvdeg_single_scale slices.
-build_hop_basis, HopBasis and apply_hop stack the whole columns as a view
-for tests. The dense A and its binomial expansion live only in oracles.py.
+product as it rounds the whole one (entropy._CHUNK_MIN_ROWS). Per step a
+column costs the product, the shifted add, the power-of-two rescale and one
+division, u / (r unit): mvdeg_single_scale asks for its columns in z-cells
+(unit 2^-10), which the class map reads directly. The per-element overflow
+scan runs only when the step could overflow: as W >= 0 a hop value is r times
+a weighted average of the input, and mvdeg_single_scale bounds |z| by
+sqrt(N). On the edgeless graph column k is column 0 shifted k samples, which
+mvdeg_single_scale slices. build_hop_basis, HopBasis and apply_hop stack the
+whole columns, in the input's units, as a view for tests. The dense A and its binomial
+expansion live only in oracles.py.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from math import frexp, ldexp
+from math import frexp, inf, ldexp
 
 import numpy as np
 
@@ -34,30 +40,39 @@ from .graphs import WeightedGraph
 from .signal import MultivariateSignal
 
 # Smallest rescaled row sum accepted. Above it every hop value at least 2^-64
-# times its row sum is a normal float, so u / r is exact; smaller ratios map
-# where float64 rounds the normal CDF to exactly 0.5.
+# times its row sum is a normal float, so u / (r unit) is exact for a unit down
+# to 2^-64; smaller ratios map where float64 rounds the normal CDF to exactly 0.5.
 _ROW_SUM_FLOOR = 2.0 ** -958
 
 
-def _hop_columns(time_major: np.ndarray, weights: np.ndarray, m: int) -> Iterator[np.ndarray]:
+def _hop_columns(
+    time_major: np.ndarray, weights: np.ndarray, m: int, unit: float = 1.0,
+    bound: float = inf,
+) -> Iterator[np.ndarray]:
     """Yield hop columns k = 0 .. min(m, N) - 1 of time-major (N, p) samples.
 
     Column k is a fresh (N - k, p) array A^k x / A^k 1 over the times whose
-    horizon t + k stays on the time axis. With u_0 = x and r_0 = 1, each step
+    horizon t + k stays on the time axis, in units of `unit`, a power of two
+    down to 2^-64. With u_0 = x and r_0 = 1, each step
 
         u_k[t] = u_(k-1)[t + 1] + W u_(k-1)[t],    r_k = (I + W) r_(k-1)
 
     where r_k is the per-channel row sum of A^k. Both are divided by the same
-    power of two each step, which keeps r below 1 and u / r unchanged. Raises
-    DimensionError unless W is (p, p), and FloatRangeError on overflow or a
-    row sum below _ROW_SUM_FLOOR. Float warnings are muted inside each step
-    only, so the caller's numpy error state holds between yields.
+    power of two each step, which keeps r below 1 and u / r unchanged; column
+    k is then u / (r unit), exact in the unit because r unit stays normal.
+    Raises DimensionError unless W is (p, p), and FloatRangeError on overflow
+    or a row sum below _ROW_SUM_FLOOR. bound is a bound on |x|. As W >= 0,
+    every u_k is r_k times a weighted average of x, so a step's values are at
+    most bound max((I + W) r_(k-1)) before the rescale; only when twice that
+    reaches 1e300 are they scanned for overflow. Float warnings are muted
+    inside each step only, so the caller's numpy error state holds between
+    yields.
     """
     n, p = time_major.shape
     if weights.shape[0] != p:
         raise DimensionError(f"signal has {p} channels but graph has {weights.shape[0]} vertices")
     u = np.ascontiguousarray(time_major)
-    yield u.copy()
+    yield u / unit
     grow = np.eye(p) + weights
     r = np.ones(p)
     for k in range(1, min(m, n)):
@@ -65,17 +80,18 @@ def _hop_columns(time_major: np.ndarray, weights: np.ndarray, m: int) -> Iterato
             r = grow @ r
             if not np.isfinite(r).all():
                 raise FloatRangeError(f"row sums of hop column {k} overflow float64")
-            scale = ldexp(1.0, -frexp(float(r.max()))[1])
+            largest = float(r.max())
+            scale = ldexp(1.0, -frexp(largest)[1])
             r *= scale
             if r.min() < _ROW_SUM_FLOOR:
                 raise FloatRangeError(f"row sums of hop column {k} too far apart to normalize")
             step = u[: n - k] @ weights.T
             step += u[1 : n - k + 1]
             step *= scale
-            if not np.isfinite(step).all():
+            if 2.0 * bound * largest >= 1e300 and not np.isfinite(step).all():
                 raise FloatRangeError(f"hop column {k} overflows float64")
             u = step
-            column = u / r
+            column = u / (r * unit)
         yield column
 
 

@@ -14,22 +14,47 @@ import numpy as np
 from .errors import DimensionError, FloatRangeError
 
 
-def _channel_sd(values: np.ndarray) -> np.ndarray:
-    """Per-channel sd (denominator N-1) of (p, N) samples as a (p, 1) column, 0 only
-    for a constant channel. Raises FloatRangeError for an sd that overflows float64
-    or a varying channel whose variance underflows to 0; only channels with sd 0
-    are scanned for that."""
+# Per-channel passes (moments here, window sums in entropy.coarse_grain) run over
+# blocks of whole channels of about _BLOCK_SAMPLES samples, so that the passes
+# over one block after the first run in cache.
+_BLOCK_SAMPLES = 2 ** 16
+
+
+def _moments(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-channel mean and sd (denominator N-1) of (p, N) samples, as (p, 1) columns;
+    the sd is 0 only for a constant channel. Both are numpy's own, bit for bit: the
+    mean is values.mean's, and the sd is taken from that mean in the steps np.std
+    takes, a block of channels at a time. Raises FloatRangeError for a mean or sd
+    that overflows float64 (z-scores NaN or 0) or a varying channel whose variance
+    underflows to 0 (it would read as constant); only channels with sd 0 are
+    scanned for that."""
+    p, n = values.shape
+    mean, sd = np.empty((p, 1)), np.empty((p, 1))
+    step = max(1, _BLOCK_SAMPLES // n)  # channels per block
     with np.errstate(over="ignore", invalid="ignore"):
-        sd = values.std(axis=1, ddof=1, keepdims=True)
+        for first in range(0, p, step):
+            block = values[first : first + step]
+            block_mean = mean[first : first + step]
+            np.add.reduce(block, axis=1, keepdims=True, out=block_mean)
+            block_mean /= n
+            deviations = np.subtract(block, block_mean)
+            np.multiply(deviations, deviations, out=deviations)
+            np.add.reduce(deviations, axis=1, keepdims=True, out=sd[first : first + step])
+        sd /= n - 1
+        np.sqrt(sd, out=sd)
     if not np.isfinite(sd).all():
         raise FloatRangeError("channel mean or sd overflows float64")
     for k in np.flatnonzero(sd == 0):
         if (values[k] != values[k, 0]).any():
             raise FloatRangeError(f"channel {k} varies but its variance underflows float64")
-    return sd
+    return mean, sd
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
+    """a as a read-only float array. An array that is read-only already and owns
+    its data, as coarse_grain makes, is kept; any other is copied."""
+    if a.dtype == float and not a.flags.writeable and a.flags.owndata:
+        return a
     out = np.array(a, dtype=float, copy=True)
     out.flags.writeable = False
     return out

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -139,6 +140,97 @@ def test_timing_sweep_runs_on_one_blas_thread_and_restores_the_callers():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.split() == ["1", "2"]
+
+
+# counts the BLAS threads each scale runs on, under every library entry point
+# that runs curves, and under two threads running curves at once
+LIBRARY_CURVES = """
+import threading
+import mvdeg, mvdeg.entropy as entropy
+from mvdeg.blas import _blas_threads, _openblas
+
+_openblas().scipy_openblas_set_num_threads64_(2)
+seen, scale = set(), entropy.mvdeg_single_scale
+
+def counted(*args):
+    seen.add(_blas_threads())
+    return scale(*args)
+
+entropy.mvdeg_single_scale = counted
+signal, config = mvdeg.gen_wgn(2, 200, 0), mvdeg.EmbeddingConfig(3, 4, 5)
+complete = mvdeg.build_complete_graph(2)
+spec = mvdeg.GeneratorSpec("correlated", 2, 200, 0, {"corr": [[1.0, 0.5], [0.5, 1.0]]})
+mvdeg.mvdeg_curve(signal, complete, config)
+mvdeg.univariate_mde(signal.values[0], config)
+mvdeg.run_noise_experiment([("c", spec)], "complete", config, 3, 0)
+mvdeg.compare_graph_policies(spec, config, 3, 0)
+alone = _blas_threads()
+start = threading.Barrier(2)
+
+def curves():
+    start.wait()
+    for _ in range(20):
+        mvdeg.mvdeg_curve(signal, complete, config)
+
+workers = [threading.Thread(target=curves) for _ in range(2)]
+for worker in workers:
+    worker.start()
+for worker in workers:
+    worker.join()
+print(sorted(seen), alone, _blas_threads())
+"""
+
+
+def test_library_curves_run_on_one_blas_thread_and_restore_the_callers():
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    out = subprocess.run(
+        [sys.executable, "-c", LIBRARY_CURVES], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.split() == ["[1]", "2", "2"]
+
+
+def test_one_blas_thread_nests_and_the_outermost_block_restores():
+    before = bench._blas_threads()
+    try:
+        _set_blas_threads(3)
+        with bench._one_blas_thread():
+            with bench._one_blas_thread():
+                assert bench._blas_threads() == 1
+            assert bench._blas_threads() == 1
+        assert bench._blas_threads() == 3
+    finally:
+        _set_blas_threads(before)
+
+
+def test_one_blas_thread_holds_for_overlapping_callers_and_the_last_out_restores():
+    # the first caller leaves while the second is still inside
+    first_in, second_in, first_out = threading.Event(), threading.Event(), threading.Event()
+    inside = []
+
+    def first():
+        with bench._one_blas_thread():
+            first_in.set()
+            second_in.wait()
+        first_out.set()
+
+    def second():
+        first_in.wait()
+        with bench._one_blas_thread():
+            second_in.set()
+            first_out.wait()
+            inside.append(bench._blas_threads())
+
+    before = bench._blas_threads()
+    try:
+        _set_blas_threads(3)
+        callers = [threading.Thread(target=first), threading.Thread(target=second)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join()
+        assert inside == [1] and bench._blas_threads() == 3
+    finally:
+        _set_blas_threads(before)
 
 
 @pytest.mark.parametrize("threads", [1, 2])

@@ -27,6 +27,7 @@ from mvdeg import (
     build_zero_graph,
     classical_mvde,
     classical_mvde_curve,
+    coarse_grain,
     gen_wgn,
     mvdeg_curve,
     mvdeg_single_scale,
@@ -53,6 +54,7 @@ from mvdeg.entropy import (
     _time_chunks,
 )
 from mvdeg.kron import _hop_columns
+from mvdeg.signal import _BLOCK_SAMPLES
 
 EXAMPLES = settings(max_examples=200, deadline=None)
 
@@ -647,6 +649,15 @@ def test_float_range_errors_raise_from_chunked_signals():
         mvdeg_single_scale(signal, WeightedGraph(w), 4, 6)
 
 
+@pytest.mark.parametrize("chunks", [1, 3])
+def test_an_overflowing_hop_step_raises_from_whole_and_chunked_signals(chunks):
+    # the row sums 1 + 1e308 are finite, but 1e308 times a z-score above 1.8 is not
+    signal = gen_wgn(2, rows_in_chunks(2, chunks) + 3, 0)
+    graph = WeightedGraph(build_complete_graph(2).weights * 1e308)
+    with pytest.raises(FloatRangeError, match="^hop column 1 overflows float64$"):
+        mvdeg_single_scale(signal, graph, 4, 6)
+
+
 @pytest.mark.parametrize("build", [
     lambda: DispersionHistogram.from_class_rows(np.array([[1.5, 2.0], [1.0, 2.0]]), 2, 3),
     lambda: DispersionHistogram.from_class_rows(np.array([[1.0, 2.0]]), 2, 3),
@@ -665,3 +676,81 @@ def test_from_class_rows_counts_any_integer_dtype_like_int64(dtype):
     rows = np.random.default_rng(0).integers(1, 7, size=(500, 4))
     want = DispersionHistogram.from_class_rows(rows, 4, 6)
     assert DispersionHistogram.from_class_rows(rows.astype(dtype), 4, 6) == want
+
+
+# ── coarse-graining and moments against numpy, bit for bit ─────────────────
+# These pin numpy's own reduction order (its pairwise sum), so a numpy whose
+# order changes fails here first. Bits are compared as int64, so -0.0 counts.
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def window_means(values, tau):
+    """numpy's means of the windows; at tau = 1 coarse_grain keeps the signal, -0.0s too."""
+    if tau == 1:
+        return values
+    length = values.shape[1] // tau
+    return values[:, : length * tau].reshape(values.shape[0], length, tau).mean(axis=2)
+
+
+@pytest.mark.parametrize("decades", [-300, 0, 300])
+def test_coarse_grain_is_numpys_window_mean_at_every_scale_to_300(decades):
+    values = np.random.default_rng(decades + 1000).standard_normal((3, 1201)) * 10.0 ** decades
+    values[1, :700] = -0.0  # windows of -0.0s, which numpy sums to +0.0
+    signal = MultivariateSignal(values)
+    for tau in range(1, 301):
+        assert same_bits(coarse_grain(signal, tau).values, window_means(values, tau)), tau
+
+
+@EXAMPLES
+@given(
+    st.sampled_from([1, 3, 32]), st.integers(1, 300), st.integers(2, 6), st.integers(0, 299),
+    st.floats(-300.0, 300.0), st.integers(0, 2 ** 32 - 1),
+)
+def test_coarse_grain_is_numpys_window_mean(p, tau, length, tail, decades, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((p, length * tau + tail % tau)) * 10.0 ** decades
+    values[rng.random(values.shape) < 0.1] = -0.0
+    coarse = coarse_grain(MultivariateSignal(values), tau)
+    assert same_bits(coarse.values, window_means(values, tau))
+    assert not coarse.values.flags.writeable
+
+
+def test_coarse_grain_blocks_channels_without_changing_a_bit():
+    values = np.random.default_rng(5).standard_normal((7, 3 * _BLOCK_SAMPLES // 7 + 5))
+    for tau in (2, 9, 130):  # several channels per block, and a ragged last block
+        assert same_bits(coarse_grain(MultivariateSignal(values), tau).values, window_means(values, tau))
+
+
+def test_a_window_whose_sum_overflows_is_refused_as_before():
+    signal = MultivariateSignal([[1e308, 1e308, 1.0, 2.0], [1.0, 2.0, 3.0, 4.0]])
+    with np.errstate(over="ignore"):
+        with pytest.raises(DimensionError, match="^signal values must be finite$"):
+            MultivariateSignal(window_means(signal.values, 2))
+        with pytest.raises(DimensionError, match="^signal values must be finite$"):
+            coarse_grain(signal, 2)
+
+
+@EXAMPLES
+@given(
+    st.integers(1, 9), st.integers(2, 3 * _BLOCK_SAMPLES // 9), st.floats(-150.0, 150.0),
+    st.floats(-100.0, 100.0), st.integers(0, 2 ** 32 - 1),
+)
+def test_moments_are_numpys_mean_and_std(p, n, spread, offset, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((p, n)) * 10.0 ** spread + rng.standard_normal((p, 1)) * 10.0 ** offset
+    mean, sd = _moments(values)
+    assert same_bits(mean, values.mean(axis=1, keepdims=True))
+    assert same_bits(sd, values.std(axis=1, ddof=1, keepdims=True))
+
+
+@pytest.mark.parametrize("channel, message", [
+    ([1.7e308, -1.7e308, -1.7e308, 0.0], "^channel mean or sd overflows float64$"),
+    ([1e200, 0.0, 0.0, 0.0], "^channel mean or sd overflows float64$"),
+    ([1e-200, -1e-200, 3e-200, 0.0], "^channel 1 varies but its variance underflows float64$"),
+])
+def test_moments_refuse_out_of_range_channels(channel, message):
+    with pytest.raises(FloatRangeError, match=message):
+        _moments(np.array([[1.0, 2.0, 3.0, 4.0], channel]))

@@ -3,6 +3,9 @@
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -158,3 +161,14 @@ def test_every_traced_layer_resolves():
     layers = _benchmark_layers()
     assert layers
     assert [layer for layer in layers if not _layer_resolves(layer)] == []
+
+
+def test_importing_the_package_and_its_cli_loads_no_scipy():
+    # scipy serves only the class map's ndtr fallback, which imports it on first use
+    code = "import sys, mvdeg, mvdeg.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    path = [str(SOURCE.parent), *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+    ).stdout
+    assert out.split() == ["[]"]
