@@ -10,7 +10,6 @@ is a pure function of the seeds.
 
 from __future__ import annotations
 
-import ctypes
 import math
 import platform
 import statistics
@@ -52,11 +51,7 @@ def _blas_core() -> str | None:
     """The CPU kernel numpy's bundled OpenBLAS runs, such as "Haswell"; None where
     it is not found. Its products can round differently under another kernel."""
     lib = _openblas()
-    if lib is None:
-        return None
-    corename = lib.scipy_openblas_get_corename64_
-    corename.restype = ctypes.c_char_p
-    return corename().decode()
+    return None if lib is None else lib.scipy_openblas_get_corename64_().decode()
 
 
 def environment_info() -> dict:

@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
+# The thread count is one per process, so the bookkeeping of the blocks that
+# pin it is too.
 _pin_lock = threading.Lock()
 _pin_depth = 0  # blocks open in any thread
 _pin_restore: int | None = None  # the count the last block out restores, if it pinned
@@ -26,7 +28,14 @@ def _openblas() -> ctypes.CDLL | None:
     """numpy's bundled OpenBLAS, loaded once; None where it is not found."""
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     for path in sorted(libs.glob("libscipy_openblas64_*.so*")):
-        return ctypes.CDLL(str(path))
+        lib = ctypes.CDLL(str(path))
+        lib.scipy_openblas_get_num_threads64_.argtypes = []
+        lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+        lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+        lib.scipy_openblas_set_num_threads64_.restype = None
+        lib.scipy_openblas_get_corename64_.argtypes = []
+        lib.scipy_openblas_get_corename64_.restype = ctypes.c_char_p
+        return lib
     return None
 
 

@@ -233,6 +233,31 @@ def test_one_blas_thread_holds_for_overlapping_callers_and_the_last_out_restores
         _set_blas_threads(before)
 
 
+def test_one_blas_thread_under_many_racing_callers():
+    inside, switch = set(), sys.getswitchinterval()
+
+    def caller():
+        for _ in range(200):
+            with bench._one_blas_thread():
+                inside.add(bench._blas_threads())
+
+    before = bench._blas_threads()
+    callers = [threading.Thread(target=caller) for _ in range(8)]
+    try:
+        _set_blas_threads(3)
+        sys.setswitchinterval(1e-6)
+        for thread in callers:
+            thread.start()
+        for thread in callers:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+        after = bench._blas_threads()
+        _set_blas_threads(before)
+    assert not any(thread.is_alive() for thread in callers)
+    assert inside == {1} and after == 3
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_environment_info_reads_back_the_blas_thread_count(threads):
     # OpenBLAS caps the requested count at the CPUs the process may run on
