@@ -15,9 +15,11 @@ sequences into the same base-c int64 codes for all three:
 
 from __future__ import annotations
 
+import importlib
 import math
 import mmap
 import os
+import threading
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -282,14 +284,26 @@ def _ndtr_classes(z: np.ndarray, c: int) -> np.ndarray:
     """round(c * Phi(z) + 0.5) as int64, overwriting z: with ties away from zero
     that is floor(c * Phi(z) + 1), capped at c where Phi(z) = 1. The class edges
     are those of scipy's ndtr, which is not monotone within one ulp of some of them.
-    scipy is imported on first use, not with mvdeg: it is most of the import time.
     """
-    from scipy.special import ndtr
-
-    ndtr(z, out=z)
+    _ndtr()(z, out=z)
     z *= c
     z += 1.0
     return np.minimum(np.floor(z, out=z), c, out=z).astype(np.int64)
+
+
+@lru_cache(maxsize=None)
+def _ndtr():
+    """scipy's ndtr, imported on first use rather than with mvdeg, whose import time
+    it would mostly be. It is imported on a thread of its own: its modules live
+    as long as the process, and allocated on the caller's malloc heap in the
+    middle of a run they would keep that heap from shrinking below them (a
+    p = 32, N = 100k curve run after building its signal held 25-55 MB more)."""
+    loader = threading.Thread(target=importlib.import_module, args=("scipy.special",))
+    loader.start()
+    loader.join()
+    from scipy.special import ndtr
+
+    return ndtr
 
 
 def _encode_patterns(columns: Iterable[np.ndarray], c: int) -> np.ndarray:

@@ -7,10 +7,10 @@ command wrote. Bench reports carry wall times and the environment, so those are
 masked on both sides. The expected data is written by make_cli_contract.py,
 which this test never calls; regenerating it changes what the test pins. Like
 the float.hex goldens, the data is pinned to the installed numpy version, and
-its usage messages to the installed Python's argparse. The
-cases in ONE_CPU run the command line in a child process limited to one CPU,
-where the curve's thread pool has a single worker, and must write the same
-bytes as the in-process run. Usage messages are formatted at COLUMNS=80.
+its usage messages, formatted at COLUMNS=80, to the installed Python's
+argparse. The cases in ONE_CPU run the command line in a child process
+limited to one CPU, where the curve's thread pool has a single worker, and
+must write the same bytes as the in-process run.
 """
 
 from __future__ import annotations
