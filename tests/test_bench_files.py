@@ -3,6 +3,7 @@
 Each is the --json output of perfbench/sweep.py: per workload, the seeds and
 run length, whether every run checked out, and for each end-to-end metric
 BENCHMARK.json declares, its unit, median, quartiles, spread and per-run values.
+BENCH_*.pairs.json files hold paired perfbench/run.py runs instead.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DECLARED = json.loads((ROOT / "BENCHMARK.json").read_text())
-FILES = sorted(ROOT.glob("BENCH_*.json"))
+FILES = sorted(path for path in ROOT.glob("BENCH_*.json") if not path.name.endswith(".pairs.json"))
 
 
 @pytest.mark.parametrize("path", FILES, ids=lambda path: path.name)
