@@ -4,7 +4,9 @@ All three share the same per-channel class map (normal CDF of standardized
 values, rounded half-away-from-zero onto 1..c) and the same normalized Shannon
 entropy over m-length class patterns, -(1 / ln(c^m)) * sum p ln p. They differ
 only in which class sequences make up a pattern; _encode_patterns folds those
-sequences into the same base-c int64 codes for all three:
+sequences into the same base-c codes for all three (in int64, and for
+classical_mvde in the narrowest integer type that holds them), and every
+histogram holds them as int64:
 
   * mvdeg_*: one pattern per (time, channel) vertex, built from row-sum
     normalized hop aggregates of the time-path / channel-graph product.
@@ -24,7 +26,7 @@ from collections.abc import Callable, Iterable, Mapping, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -152,7 +154,8 @@ class DispersionHistogram:
     def _from_codes(cls, chunks: Iterable[np.ndarray], m: int, c: int) -> "DispersionHistogram":
         """Count base-c codes over chunks of about equal length: bincount when c^m <= 2^24 and
         at most twice the first chunk's length, else merged per-chunk np.unique (cheaper for
-        sparse codes)."""
+        sparse codes). The chunks may hold any integer type; the histogram's codes and
+        counts are int64 either way."""
         chunks = iter(chunks)
         first, space = next(chunks), c ** m
         if space <= min(2 ** 24, 2 * len(first)):
@@ -164,6 +167,7 @@ class DispersionHistogram:
         else:
             parts = [np.unique(codes, return_counts=True) for codes in chain([first], chunks)]
             codes, where = np.unique(np.concatenate([u for u, _ in parts]), return_inverse=True)
+            codes = codes.astype(np.int64, copy=False)
             tally = np.zeros(len(codes), dtype=np.int64)
             np.add.at(tally, where, np.concatenate([n for _, n in parts]))
         hist = cls.__new__(cls)
@@ -307,11 +311,13 @@ def _ndtr():
 
 
 def _encode_patterns(columns: Iterable[np.ndarray], c: int) -> np.ndarray:
-    """Base-c int64 code per pattern, sum digit_j c^(m-1-j), from columns of class
-    digits (class - 1, values 0..c-1, first column most significant). Folds code =
-    code * c + digit into a new array, taking one column at a time from a generator."""
+    """Base-c code per pattern, sum digit_j c^(m-1-j), from columns of class digits
+    (class - 1, values 0..c-1, first column most significant). Folds code =
+    code * c + digit into a new array in the first column's integer type, which
+    must hold every code below c^m, taking one column at a time from a generator. The mvdeg and
+    univariate paths pass int64 digits, classical_mvde narrower ones."""
     columns = iter(columns)
-    code = np.array(next(columns), dtype=np.int64)
+    code = np.array(next(columns))
     for column in columns:
         code *= c
         code += column
@@ -578,6 +584,13 @@ def classical_mvde(
     those positions, in index order, is one pattern. The exact pattern count is
     checked against pattern_cap before any enumeration and refused with
     CapacityError when it exceeds the cap.
+
+    The m*p lagged digit rows are stacked once in the narrowest signed integer
+    type that holds -c^m (int16 at c = 6, m = 4), and so every code below c^m. The subsets are drawn from
+    itertools.combinations a block at a time, about _BLOCK_SAMPLES codes per
+    block and at least one subset, and each block's codes are folded from
+    fancy-indexed rows and counted before the next block is drawn; so a call
+    never holds the whole subset index array.
     """
     _check_embedding(m, c)
     coarse = coarse_grain(signal, tau)
@@ -587,12 +600,24 @@ def classical_mvde(
     windows = length - m + 1
     _check_capacity(length, coarse.p, m, pattern_cap)
 
-    digits = ncdf_map(coarse, c)
-    digits -= 1
-    # one digit view per window position, in the order above
-    lagged = [row[lag : lag + windows] for row in digits for lag in range(m)]
-    codes = (_encode_patterns(subset, c) for subset in combinations(lagged, m))
-    histogram = DispersionHistogram._from_codes(codes, m, c)
+    classes = ncdf_map(coarse, c)
+    # one digit row per window position, in the order above, in the narrowest
+    # signed type that holds -c^m and so every code: the folds below run in it,
+    # and in int64 they took as long as one fold per subset
+    lagged = np.stack(
+        [row[lag : lag + windows] for row in classes for lag in range(m)],
+        dtype=np.min_scalar_type(-(c ** m)), casting="same_kind",
+    )
+    lagged -= 1
+    subsets = combinations(range(len(lagged)), m)
+    per_block = max(1, _BLOCK_SAMPLES // windows)
+
+    def block_codes():
+        while block := list(islice(subsets, per_block)):
+            rows = np.array(block).T  # rows[j] holds each subset's j-th position
+            yield _encode_patterns((lagged[index] for index in rows), c).ravel()
+
+    histogram = DispersionHistogram._from_codes(block_codes(), m, c)
     return normalized_entropy(histogram), histogram
 
 

@@ -152,11 +152,15 @@ def generate(spec: GeneratorSpec) -> MultivariateSignal:
     """Build the signal a GeneratorSpec describes: channel k, white or 1/f, from
     substream (seed, k); a correlated signal is L @ white, L L^T = corr."""
     substreams = np.random.SeedSequence(spec.seed).spawn(spec.p)  # spawn_key (k,) for channel k
-    noise = [np.random.default_rng(s).standard_normal(spec.n_samples) for s in substreams]
+    values = np.empty((spec.p, spec.n_samples))
     white = _white_channels(spec)
-    values = np.stack(noise[:white] + [_one_over_f(x) for x in noise[white:]])
+    for k, (row, substream) in enumerate(zip(values, substreams)):
+        np.random.default_rng(substream).standard_normal(out=row)
+        if k >= white:
+            row[:] = _one_over_f(row)
     if spec.kind == "correlated":
         values = _psd_lower_factor(spec._params["corr"]) @ values
+    values.flags.writeable = False  # a fresh array, which MultivariateSignal keeps
     return MultivariateSignal(values)
 
 

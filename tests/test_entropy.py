@@ -350,6 +350,38 @@ def test_classical_coarse_grains_before_counting():
     assert value_direct == value_tau
 
 
+def assert_classical_matches_oracle(sig, m, c):
+    value, hist = classical_mvde(sig, m, c)
+    expected_value, expected_counts = classical_oracle(sig, m, c)
+    assert hist.codes.dtype == np.int64 and hist.code_counts.dtype == np.int64
+    assert hist.counts == expected_counts
+    assert value == pytest.approx(expected_value, abs=1e-12)
+
+
+def test_classical_matches_oracle_over_several_blocks_and_a_remainder():
+    # 298 windows take 219 subsets per block: C(18, 3) = 816 is 3 blocks and 159
+    sig = MultivariateSignal(np.random.default_rng(23).standard_normal((6, 300)))
+    assert_classical_matches_oracle(sig, 3, 4)
+
+
+def test_classical_matches_oracle_with_one_subset_per_block():
+    # more than 2^16 windows, so each block holds one subset's codes
+    sig = MultivariateSignal(np.random.default_rng(29).standard_normal((2, 2 ** 16 + 10)))
+    assert_classical_matches_oracle(sig, 2, 3)
+
+
+@pytest.mark.parametrize("p, m, c, n", [
+    (6, 2, 11, 40), (6, 2, 12, 40),  # c^m = 121, 144: int8, int16
+    (2, 7, 2, 40), (2, 5, 8, 40),  # c^m = 2^7, 2^15: int8, int16, each just holding c^m - 1
+    (6, 2, 181, 40), (6, 2, 182, 40),  # c^m = 32761, 33124: int16, int32, counted by np.unique
+    (6, 2, 181, 301), (6, 2, 182, 301),  # the same, counted by bincount (66 x 300 codes a block)
+    (6, 2, 46340, 40), (6, 2, 46341, 40),  # c^m = 2147395600, 2147488281: int32, int64
+])
+def test_classical_matches_oracle_on_both_sides_of_each_code_type(p, m, c, n):
+    sig = MultivariateSignal(np.random.default_rng(c + n).standard_normal((p, n)))
+    assert_classical_matches_oracle(sig, m, c)
+
+
 # ── univariate method and the reduction identity ─────────────────────────────
 
 

@@ -1,6 +1,7 @@
 """Seeded signal generators: determinism, substreams, spectra, correlations."""
 
 import inspect
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -306,6 +307,21 @@ def test_shorthands_equal_generate_of_their_spec(recipe):
 
 
 # ── voltage feature extraction ───────────────────────────────────────────────
+
+
+def test_generate_fills_one_array_and_the_signal_keeps_it():
+    corr = uniform_correlation(8, 0.3)
+    for make, bound in ((lambda: gen_wgn(8, 20_000, 1), 1.5), (lambda: gen_correlated(8, 20_000, corr, 1), 2.5)):
+        make()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            signal = make()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert signal.values.flags.owndata and not signal.values.flags.writeable
+        assert peak < bound * signal.values.nbytes
 
 
 def test_ert_features_relative_change():

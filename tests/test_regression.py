@@ -230,3 +230,10 @@ def test_classical_mvde_encodes_lagged_class_views_without_a_window_matrix():
     signal = gen_wgn(4, 20_000, 0)
     peak = traced_peak(lambda: classical_mvde(signal, 4, 6))
     assert peak < 4 * signal.values.nbytes
+
+
+def test_classical_mvde_folds_and_counts_one_block_of_subsets_at_a_time():
+    # 635,376 subsets of 37 windows: their (subsets, m) index array alone is 20 MB
+    signal = gen_wgn(16, 40, 0)
+    peak = traced_peak(lambda: classical_mvde(signal, 4, 6))
+    assert peak < 4 * 2 ** 20
