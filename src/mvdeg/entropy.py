@@ -154,7 +154,7 @@ class DispersionHistogram:
     def _from_codes(cls, chunks: Iterable[np.ndarray], m: int, c: int) -> "DispersionHistogram":
         """Count base-c codes over chunks of about equal length: bincount when c^m <= 2^24 and
         at most twice the first chunk's length, else merged per-chunk np.unique (cheaper for
-        sparse codes). The chunks may hold any integer type; the histogram's codes and
+        sparse codes). The chunks may hold any signed integer type; the histogram's codes and
         counts are int64 either way."""
         chunks = iter(chunks)
         first, space = next(chunks), c ** m

@@ -306,12 +306,11 @@ def test_shorthands_equal_generate_of_their_spec(recipe):
     assert call().values.tobytes() == generate(spec).values.tobytes()
 
 
-# ── voltage feature extraction ───────────────────────────────────────────────
-
-
 def test_generate_fills_one_array_and_the_signal_keeps_it():
     corr = uniform_correlation(8, 0.3)
-    for make, bound in ((lambda: gen_wgn(8, 20_000, 1), 1.5), (lambda: gen_correlated(8, 20_000, corr, 1), 2.5)):
+    # a second (p, N) array, or a copy by MultivariateSignal, would add 1x each
+    makers = ((lambda: gen_wgn(8, 20_000, 1), 1.5), (lambda: gen_correlated(8, 20_000, corr, 1), 2.5))
+    for make, bound in makers:
         make()
         tracemalloc.start()
         try:
@@ -322,6 +321,9 @@ def test_generate_fills_one_array_and_the_signal_keeps_it():
             tracemalloc.stop()
         assert signal.values.flags.owndata and not signal.values.flags.writeable
         assert peak < bound * signal.values.nbytes
+
+
+# ── voltage feature extraction ───────────────────────────────────────────────
 
 
 def test_ert_features_relative_change():
