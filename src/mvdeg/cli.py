@@ -329,7 +329,7 @@ def main(argv: list[str] | None = None) -> int:
     except (DimensionError, ScaleUndefinedError) as err:
         print(f"mvdeg: dimension error: {err}", file=sys.stderr)
         return 3
-    except MvdegError as err:
+    except (MvdegError, MemoryError) as err:  # MemoryError: an array too big to allocate
         print(f"mvdeg: {err}", file=sys.stderr)
         return 4
     except OSError as err:  # a path that cannot be opened, read or written

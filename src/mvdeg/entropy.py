@@ -1,7 +1,8 @@
 """Dispersion-entropy pipelines: graph-based, classical multivariate, univariate.
 
 All three share the same per-channel class map (normal CDF of standardized
-values, rounded half-away-from-zero onto 1..c) and the same normalized Shannon
+values, rounded half-away-from-zero onto 1..c), all read it from one table
+(_digits_from_cells; ncdf_map is its public view), and share the normalized Shannon
 entropy over m-length class patterns, -(1 / ln(c^m)) * sum p ln p. They differ
 only in which class sequences make up a pattern; _encode_patterns folds those
 sequences into the same base-c codes for all three (in int64, and for
@@ -365,8 +366,9 @@ def coarse_grain(signal: MultivariateSignal, tau: int) -> MultivariateSignal:
 
     Output length is floor(N / tau); a scale leaving fewer than 2 samples is
     undefined and raises ScaleUndefinedError. The means are those of
-    values.reshape(p, N / tau, tau).mean(axis=2) bit for bit (_window_sums),
-    computed a block of _BLOCK_SAMPLES samples at a time and kept without a copy.
+    values.reshape(p, N / tau, tau).mean(axis=2) on C-ordered values bit for bit,
+    whatever the signal's memory order (_window_sums), computed a block of
+    _BLOCK_SAMPLES samples at a time and kept without a copy.
     """
     if tau < 1:
         raise DimensionError(f"scale must be >= 1, got {tau}")
@@ -380,41 +382,38 @@ def coarse_grain(signal: MultivariateSignal, tau: int) -> MultivariateSignal:
     step = max(1, _BLOCK_SAMPLES // (length * tau))  # channels per block
     for first in range(0, signal.p, step):
         block = means[first : first + step]
-        _window_sums(windows[first : first + step], 0, tau, block)
+        _window_sums(windows[first : first + step], block)
         block += 0.0  # numpy's sum starts from +0.0, so a window of -0.0s sums to +0.0
         block /= tau
     means.flags.writeable = False
     return MultivariateSignal(means, labels=signal.labels)
 
 
-def _window_sums(windows: np.ndarray, start: int, n: int, out: np.ndarray) -> None:
-    """Write the sums over positions start .. start+n-1 of the last axis of the 3-D
-    windows into out, adding in the order of numpy's pairwise sum, one strided add per
-    window position: under 8 terms in sequence; up to 128 in eight accumulators
-    (position i goes to i mod 8) whose totals join as ((0+1)+(2+3))+((4+5)+(6+7)),
-    then the rest in sequence; above 128, as the sum of the two halves split at a
-    multiple of 8. Only a zero sum may differ from numpy's, in its sign.
+def _window_sums(windows: np.ndarray, out: np.ndarray) -> None:
+    """Write the sums over the last axis of the 3-D windows into the C-ordered out in
+    numpy's pairwise order: from 24 terms by numpy's own reduction (into such an out it
+    is pairwise along strided windows too); below 24, where that is slower, by strided
+    adds, under 8 terms in sequence, from 8 in eight accumulators (position i goes to
+    i mod 8) joined as ((0+1)+(2+3))+((4+5)+(6+7)), then the rest in sequence. Only a
+    zero sum may differ from numpy's, in its sign.
     """
-    if n < 8:
-        np.add(windows[..., start], windows[..., start + 1], out=out)
-        for i in range(start + 2, start + n):
+    n = windows.shape[-1]
+    if n >= 24:
+        np.add.reduce(windows, axis=-1, out=out)
+    elif n < 8:
+        np.add(windows[..., 0], windows[..., 1], out=out)
+        for i in range(2, n):
             out += windows[..., i]
-    elif n <= 128:
-        whole = start + n - n % 8  # end of the positions the accumulators take
-        acc = windows[..., start : start + 8].transpose(2, 0, 1).copy()
-        for i in range(start + 8, whole, 8):
+    else:
+        whole = n - n % 8  # end of the positions the accumulators take
+        acc = windows[..., :8].transpose(2, 0, 1).copy()
+        for i in range(8, whole, 8):
             acc += windows[..., i : i + 8].transpose(2, 0, 1)
         np.add(acc[0::2], acc[1::2], out=acc[0::2])
         np.add(acc[0::4], acc[2::4], out=acc[0::4])
         np.add(acc[0], acc[4], out=out)
-        for i in range(whole, start + n):
+        for i in range(whole, n):
             out += windows[..., i]
-    else:
-        half = n // 2 - n // 2 % 8
-        _window_sums(windows, start, half, out)
-        rest = np.empty_like(out)
-        _window_sums(windows, start + half, n - half, rest)
-        out += rest
 
 
 def ncdf_map(signal: MultivariateSignal, c: int) -> np.ndarray:
@@ -585,9 +584,10 @@ def classical_mvde(
     checked against pattern_cap before any enumeration and refused with
     CapacityError when it exceeds the cap.
 
-    The m*p lagged digit rows are stacked once in the narrowest signed integer
-    type that holds -c^m (int16 at c = 6, m = 4), and so every code below c^m. The subsets are drawn from
-    itertools.combinations a block at a time, about _BLOCK_SAMPLES codes per
+    The m*p lagged digit rows, read from the class table as in the edgeless mvdeg
+    chunk, are stacked once in the narrowest signed integer type that holds -c^m
+    (int16 at c = 6, m = 4), and so every code below c^m. The subsets are drawn
+    from itertools.combinations a block at a time, about _BLOCK_SAMPLES codes per
     block and at least one subset, and each block's codes are folded from
     fancy-indexed rows and counted before the next block is drawn; so a call
     never holds the whole subset index array.
@@ -600,15 +600,14 @@ def classical_mvde(
     windows = length - m + 1
     _check_capacity(length, coarse.p, m, pattern_cap)
 
-    classes = ncdf_map(coarse, c)
+    digits = _digits_from_cells(_standardize(coarse.values, unit=2.0 ** -_CELL_BITS), c)
     # one digit row per window position, in the order above, in the narrowest
     # signed type that holds -c^m and so every code: the folds below run in it,
     # and in int64 they took as long as one fold per subset
     lagged = np.stack(
-        [row[lag : lag + windows] for row in classes for lag in range(m)],
+        [row[lag : lag + windows] for row in digits for lag in range(m)],
         dtype=np.min_scalar_type(-(c ** m)), casting="same_kind",
     )
-    lagged -= 1
     subsets = combinations(range(len(lagged)), m)
     per_block = max(1, _BLOCK_SAMPLES // windows)
 

@@ -34,7 +34,7 @@ CURVE_CSV_HEADER = ("method", "tau", "mean", "sd", "n_realizations")
 
 def write_json(payload, path: str | Path) -> None:
     """Every JSON file the package writes: indent 1, trailing newline."""
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         json.dump(payload, f, indent=1)
         f.write("\n")
 
@@ -249,7 +249,7 @@ def _record_to_row(method: str, record: ScaleRecord) -> list[str]:
 
 
 def write_curves_csv(curves: Sequence[EntropyCurve], path: str | Path) -> None:
-    with open(path, "w", newline="") as f:
+    with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(CURVE_CSV_HEADER)
         for curve in curves:
@@ -298,7 +298,7 @@ def write_timing_report(report: TimingReport, json_path: str | Path, csv_path: s
         },
         json_path,
     )
-    with open(csv_path, "w", newline="") as f:
+    with open(csv_path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow([field.name for field in fields(TimingCell)])
         for cell in report.cells:

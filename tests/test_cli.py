@@ -114,6 +114,14 @@ def test_graph_zero_and_complete(tmp_path, capsys):
     assert np.array(obj["weights"]).sum() == 6.0
 
 
+def test_graph_too_big_to_allocate_is_one_line_and_exit_4(tmp_path, capsys):
+    # numpy refuses the 6.94 EiB request at once, so nothing is allocated
+    assert run("graph", "--kind", "zero", "--p", "1000000000", "--out", str(tmp_path / "g.json")) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("mvdeg: Unable to allocate 6.94 EiB") and err.count("\n") == 1
+    assert not (tmp_path / "g.json").exists()
+
+
 def test_graph_correlation_from_signal(tmp_path, capsys):
     sig = tmp_path / "s.csv"
     assert run("generate", "--kind", "wgn", "--p", "2", "--n", "200", "--seed", "1", "--out", str(sig)) == 0

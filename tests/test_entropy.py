@@ -7,6 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import mvdeg.entropy as entropy_module
 from mvdeg import (
     CapacityError,
     DimensionError,
@@ -380,6 +381,18 @@ def test_classical_matches_oracle_with_one_subset_per_block():
 def test_classical_matches_oracle_on_both_sides_of_each_code_type(p, m, c, n):
     sig = MultivariateSignal(np.random.default_rng(c + n).standard_normal((p, n)))
     assert_classical_matches_oracle(sig, m, c)
+
+
+def test_classical_reads_the_class_table_without_ncdf_map(monkeypatch):
+    sig = MultivariateSignal(np.random.default_rng(31).standard_normal((3, 200)))
+    expected = classical_oracle(sig, 3, 6)[1]  # through ncdf_map, before the patch
+
+    def refuse(*args):
+        raise AssertionError("classical_mvde went through the public class view")
+
+    monkeypatch.setattr(entropy_module, "ncdf_map", refuse)
+    monkeypatch.setattr(entropy_module, "_classes_from_z", refuse)
+    assert classical_mvde(sig, 3, 6)[1].counts == expected
 
 
 # ── univariate method and the reduction identity ─────────────────────────────

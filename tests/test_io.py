@@ -5,6 +5,9 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -507,6 +510,34 @@ def test_ensemble_report_files(tmp_path):
         rows = list(csv.reader(f))
     assert rows[0] == list(CURVE_CSV_HEADER)
     assert len(rows) == 3
+
+
+# An ASCII script, since the C locale cannot pass an alpha through argv.
+WRITE_NON_ASCII_FILES = r"""
+import sys
+from mvdeg import EntropyCurve, ScaleRecord, write_curves_csv, write_curves_json, write_timing_report
+from mvdeg.bench import TimingCell, TimingReport
+curve = EntropyCurve("F(\u03b1)", (ScaleRecord(1, 0.75, 0.0, 1, True),), 2, 3, "zero(n=1)")
+write_curves_csv([curve], sys.argv[1] + "/c.csv")
+write_curves_json([curve], sys.argv[1] + "/c.json")
+cell = TimingCell("F(\u03b1)", 30, 2, 2, 3, 0.125, 174, 56, "ok")
+write_timing_report(TimingReport((cell,), {"cpu": "\u03b1"}, 0), sys.argv[1] + "/t.json", sys.argv[1] + "/t.csv")
+"""
+
+
+def test_text_files_are_written_as_utf8_under_the_c_locale(tmp_path):
+    source = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", PYTHONPATH=os.pathsep.join(
+        [source] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-c", WRITE_NON_ASCII_FILES, str(tmp_path)], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "c.csv").read_bytes().split(b"\r\n")[1] == "F(\u03b1),1,0.75,0.0,1".encode()
+    assert (tmp_path / "t.csv").read_bytes().split(b"\r\n")[1] == "F(\u03b1),30,2,2,3,0.125,174,56,ok".encode()
+    assert json.loads((tmp_path / "c.json").read_bytes())["curves"][0]["method"] == "F(\u03b1)"
+    assert json.loads((tmp_path / "t.json").read_bytes())["environment"]["cpu"] == "\u03b1"
 
 
 def test_timing_csv_bytes_with_a_refused_cell(tmp_path):

@@ -720,8 +720,18 @@ def test_coarse_grain_is_numpys_window_mean(p, tau, length, tail, decades, seed)
 
 def test_coarse_grain_blocks_channels_without_changing_a_bit():
     values = np.random.default_rng(5).standard_normal((7, 3 * _BLOCK_SAMPLES // 7 + 5))
-    for tau in (2, 9, 130):  # several channels per block, and a ragged last block
+    for tau in (2, 9, 23, 24, 130):  # several channels per block, and a ragged last block
         assert same_bits(coarse_grain(MultivariateSignal(values), tau).values, window_means(values, tau))
+
+
+def test_coarse_grain_of_an_f_ordered_signal_is_that_of_its_c_ordered_copy():
+    # read_signal_csv gives F-ordered values, where numpy's own mean would sum in sequence
+    values = np.random.default_rng(7).standard_normal((1201, 3)).T
+    values[1, :700] = -0.0
+    f_ordered, c_ordered = MultivariateSignal(values), MultivariateSignal(np.ascontiguousarray(values))
+    assert f_ordered.values.flags.f_contiguous and not f_ordered.values.flags.c_contiguous
+    for tau in range(1, 301):
+        assert same_bits(coarse_grain(f_ordered, tau).values, window_means(c_ordered.values, tau)), tau
 
 
 def test_a_window_whose_sum_overflows_is_refused_as_before():
