@@ -26,8 +26,6 @@ from .entropy import (
     EntropyCurve,
     PATTERN_CAP,
     ScaleRecord,
-    _pool_map,
-    _scales_pooled,
     classical_mvde,
     mvdeg_curve,
     mvdeg_single_scale,
@@ -225,26 +223,22 @@ def _realization_curves(
     """Per policy, the curve of each realization r of spec; its signal is generated
     once, with the seed derived from (seed, index, r), and every policy sees it.
 
-    Curves below _POOL_MIN_SAMPLES (N * p) run their scales serially, so the
-    realizations are mapped over the thread pool instead; larger curves pool
-    their own scales and the realizations run serially. Either way the first
-    error in realization order propagates, and no value depends on the pool.
+    The realizations run in a plain loop, in order, so the first error in
+    realization order propagates. Each mvdeg_curve decides for itself whether
+    its scales pay for a thread pool (entropy._POOL_MIN_SAMPLES). Realizations
+    are not pooled: most of a small curve's work is Python that holds the GIL.
     """
     if realizations < 1:
         raise DimensionError(f"need at least one realization, got {realizations}")
-
-    def realization(r: int) -> list[EntropyCurve]:
-        spec_r = replace(spec, seed=realization_seed(seed, index, r))
-        signal = generate(spec_r)
-        return [
-            mvdeg_curve(signal, _policy_graph(policy, spec_r, signal), config)
-            for policy in policies
-        ]
-
-    pooled = not _scales_pooled(spec.n_samples * spec.p)
+    curves = [[] for _ in policies]
     with _one_blas_thread():  # pinned once, not once per realization's curve
-        per_realization = _pool_map(realization, range(realizations), pooled)
-    return [list(per_policy) for per_policy in zip(*per_realization)]
+        for r in range(realizations):
+            spec_r = replace(spec, seed=realization_seed(seed, index, r))
+            signal = generate(spec_r)
+            for policy, per_policy in zip(policies, curves):
+                graph = _policy_graph(policy, spec_r, signal)
+                per_policy.append(mvdeg_curve(signal, graph, config))
+    return curves
 
 
 def run_noise_experiment(

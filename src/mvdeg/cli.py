@@ -329,7 +329,9 @@ def main(argv: list[str] | None = None) -> int:
     except (DimensionError, ScaleUndefinedError) as err:
         print(f"mvdeg: dimension error: {err}", file=sys.stderr)
         return 3
-    except (MvdegError, MemoryError) as err:  # MemoryError: an array too big to allocate
+    except (MvdegError, MemoryError, ValueError) as err:  # an array too big to allocate or size
+        if isinstance(err, ValueError) and not str(err).startswith("array is too big"):
+            raise  # only numpy's refusal to size an array, not every ValueError
         print(f"mvdeg: {err}", file=sys.stderr)
         return 4
     except OSError as err:  # a path that cannot be opened, read or written

@@ -23,7 +23,7 @@ import math
 import mmap
 import os
 import threading
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -53,14 +53,13 @@ PATTERN_CAP = 10 ** 8  # refuse classical enumeration beyond this many patterns
 # its class digits fold into the codes.
 _CHUNK_ELEMENTS = 2 ** 18
 _CHUNK_MIN_ROWS = 4096
-# One rule for where the thread pool sits (_scales_pooled). An mvdeg curve of
-# at least _POOL_MIN_SAMPLES samples over all channels (N * p) runs its scales
-# on the pool. A smaller one runs them serially, as the pool would cost more
-# than it saves, and an ensemble of such curves maps its realizations over the
-# pool instead (bench._realization_curves). So at most one level is pooled, and
-# pools never nest. On 2 cores a 20-scale curve's pooled/serial time ratio
-# crosses 1 between 48k and 56k samples.
-_POOL_MIN_SAMPLES = 50_000
+# The one level of thread parallelism: an mvdeg curve of at least
+# _POOL_MIN_SAMPLES samples (N * p) runs its scales on a thread pool (_curve). A
+# smaller one runs them serially, as do ensembles their realizations, because
+# there most of a scale is Python work that holds the GIL. On 2 cores a 20-scale
+# curve's pooled/serial time ratio crosses 1 near 125k samples on a correlation
+# graph and past 200k on the p=3 zero graph (README, Performance).
+_POOL_MIN_SAMPLES = 150_000
 # _digits_from_cells reads class digits (class - 1) from a table per class
 # count over z-cells of width 2^-_CELL_BITS on [-_CELL_RANGE, _CELL_RANGE),
 # 32,768 cells (256 KiB); the pipelines hand it z 2^_CELL_BITS, which the hop
@@ -154,9 +153,10 @@ class DispersionHistogram:
     @classmethod
     def _from_codes(cls, chunks: Iterable[np.ndarray], m: int, c: int) -> "DispersionHistogram":
         """Count base-c codes over chunks of about equal length: bincount when c^m <= 2^24 and
-        at most twice the first chunk's length, else merged per-chunk np.unique (cheaper for
-        sparse codes). The chunks may hold any signed integer type; the histogram's codes and
-        counts are int64 either way."""
+        at most twice the first chunk's length, else per-chunk np.unique (cheaper for sparse
+        codes), merged into the running count once two or more parts since hold as many
+        distinct codes as it, so memory follows the distinct codes. The chunks may hold
+        any signed integer type; the histogram's codes and counts are int64 either way."""
         chunks = iter(chunks)
         first, space = next(chunks), c ** m
         if space <= min(2 ** 24, 2 * len(first)):
@@ -166,14 +166,28 @@ class DispersionHistogram:
             codes = np.flatnonzero(tally)
             tally = tally[codes]
         else:
-            parts = [np.unique(codes, return_counts=True) for codes in chain([first], chunks)]
-            codes, where = np.unique(np.concatenate([u for u, _ in parts]), return_inverse=True)
-            codes = codes.astype(np.int64, copy=False)
-            tally = np.zeros(len(codes), dtype=np.int64)
-            np.add.at(tally, where, np.concatenate([n for _, n in parts]))
+            parts = []  # the running count, then the parts counted since it was merged
+            for chunk in chain([first], chunks):
+                parts.append(np.unique(chunk, return_counts=True))
+                if len(parts) > 2 and sum(len(u) for u, _ in parts[1:]) >= len(parts[0][0]):
+                    parts = [_merge_counts(parts)]
+            codes, tally = _merge_counts(parts)
         hist = cls.__new__(cls)
         hist.codes, hist.code_counts, hist.m, hist.c = codes, tally, m, c
         return hist
+
+
+def _merge_counts(parts: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct codes (ascending, int64) of (codes, counts) parts, each sorted by code,
+    and their summed counts."""
+    codes = np.concatenate([u for u, _ in parts], dtype=np.int64)
+    counts = np.concatenate([n for _, n in parts], dtype=np.int64)
+    if len(parts) == 1:
+        return codes, counts
+    order = np.argsort(codes, kind="stable")  # a merge of the parts' sorted runs
+    codes, counts = codes[order], counts[order]
+    first = np.flatnonzero(np.diff(codes, prepend=-1))  # codes are >= 0
+    return codes[first], np.add.reduceat(counts, first)
 
 
 @dataclass(frozen=True)
@@ -427,25 +441,6 @@ def ncdf_map(signal: MultivariateSignal, c: int) -> np.ndarray:
     return _classes_from_z(_standardize(signal.values), c)
 
 
-def _pool_map(fn: Callable, items: Sequence, pooled: bool) -> list:
-    """[fn(item) for item in items], on a thread pool when pooled: one worker per
-    CPU the process may run on, at most one per item. Results are taken in item
-    order, so the first error in item order propagates, as from a serial loop."""
-    if not pooled:
-        return [fn(item) for item in items]
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity API on this platform
-        cpus = os.cpu_count() or 1
-    with ThreadPoolExecutor(max(1, min(cpus, len(items)))) as pool:
-        return list(pool.map(fn, items))
-
-
-def _scales_pooled(samples: int) -> bool:
-    """Whether an mvdeg curve of this many samples (N * p) runs its scales on the pool."""
-    return samples >= _POOL_MIN_SAMPLES
-
-
 def _curve(
     n_samples: int, config: EmbeddingConfig, entropy_at: Callable[[int], float],
     method: str, graph: str, pooled: bool = True,
@@ -454,13 +449,22 @@ def _curve(
 
     A scale whose coarse-grained length n_samples // tau drops below m+1 is
     recorded as undefined rather than skipped. The defined scales share
-    nothing, so when pooled they run through _pool_map, largest scale (tau = 1)
-    first; otherwise they run in a serial loop (see _scales_pooled). The first
-    error in tau order propagates, and no value depends on the worker count.
+    nothing, so when pooled they run on a thread pool, largest scale (tau = 1)
+    first: one worker per CPU the process may run on, at most one per scale.
+    Otherwise they run in a serial loop. Results are taken in tau order, so the
+    first error in tau order propagates and no value depends on the worker count.
     """
     scales = range(1, config.max_scale + 1)
     defined = [tau for tau in scales if n_samples // tau >= config.m + 1]
-    means = dict(zip(defined, _pool_map(entropy_at, defined, pooled)))
+    if pooled:
+        try:
+            cpus = len(os.sched_getaffinity(0))
+        except AttributeError:  # no affinity API on this platform
+            cpus = os.cpu_count() or 1
+        with ThreadPoolExecutor(max(1, min(cpus, len(defined)))) as pool:
+            means = dict(zip(defined, pool.map(entropy_at, defined)))
+    else:
+        means = {tau: entropy_at(tau) for tau in defined}
     records = tuple(
         ScaleRecord(tau, means[tau], 0.0, 1, True) if tau in means
         else ScaleRecord(tau, math.nan, math.nan, 0, False)
@@ -530,13 +534,13 @@ def mvdeg_curve(
     config: EmbeddingConfig,
 ) -> EntropyCurve:
     """Graph-based entropy versus scale for one signal, on one OpenBLAS thread; its
-    scales run on the thread pool when N * p is at least _POOL_MIN_SAMPLES,
-    serially otherwise."""
+    scales run on a thread pool when N * p is at least _POOL_MIN_SAMPLES,
+    serially otherwise. Either way the values are those of a serial loop."""
 
     def entropy_at(tau: int) -> float:
         return mvdeg_single_scale(coarse_grain(signal, tau), graph, config.m, config.c)[0]
 
-    pooled = _scales_pooled(signal.n_samples * signal.p)
+    pooled = signal.n_samples * signal.p >= _POOL_MIN_SAMPLES
     with _one_blas_thread():  # the hop products are too small to split
         return _curve(signal.n_samples, config, entropy_at, "mvdeg", graph.describe(), pooled)
 

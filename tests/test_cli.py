@@ -122,6 +122,14 @@ def test_graph_too_big_to_allocate_is_one_line_and_exit_4(tmp_path, capsys):
     assert not (tmp_path / "g.json").exists()
 
 
+def test_graph_numpy_cannot_size_is_one_line_and_exit_4(tmp_path, capsys):
+    # 2.5e19 float64 cells are past what numpy can size: ValueError, not MemoryError
+    assert run("graph", "--kind", "zero", "--p", "5000000000", "--out", str(tmp_path / "g.json")) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("mvdeg: array is too big") and err.count("\n") == 1
+    assert not (tmp_path / "g.json").exists()
+
+
 def test_graph_correlation_from_signal(tmp_path, capsys):
     sig = tmp_path / "s.csv"
     assert run("generate", "--kind", "wgn", "--p", "2", "--n", "200", "--seed", "1", "--out", str(sig)) == 0

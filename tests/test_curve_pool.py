@@ -1,5 +1,5 @@
-"""Large entropy curves run their scales on a thread pool, and ensembles of small
-curves run their realizations on it: values and errors match a serial loop."""
+"""Large entropy curves run their scales on a thread pool, small ones and the
+realizations of an ensemble run serially: values and errors match a serial loop."""
 
 import os
 import subprocess
@@ -143,7 +143,7 @@ def test_first_failing_scale_in_tau_order_wins(affinity, cpus):
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """The worker count of every pool _pool_map makes, in order."""
+    """The worker count of every pool _curve makes, in order."""
     sizes = []
 
     class Recording(entropy.ThreadPoolExecutor):
@@ -224,13 +224,29 @@ def bits(curves):
 
 
 @pytest.mark.parametrize("cpus", WORKERS)
-def test_small_ensembles_pool_their_realizations_not_their_scales(affinity, pool_sizes, cpus):
+def test_ensembles_run_their_realizations_serially(affinity, pool_sizes, monkeypatch, cpus):
     affinity(cpus)
     config = EmbeddingConfig(4, 6, 8)
     report = run_noise_experiment(MIXTURES, "zero", config, 3, 11)
-    # one pool per condition, none inside it
-    assert pool_sizes == [min(cpus, 3)] * len(MIXTURES)
+    # curves below the threshold: no pool at either level
+    assert pool_sizes == []
     assert bits(report.curves) == bits(serial_ensemble(MIXTURES, config, 3, 11))
+
+    # curves from the threshold up each pool their own scales, one curve at a time
+    n = -(-entropy._POOL_MIN_SAMPLES // 3)
+    large = [(label, replace(spec, n_samples=n)) for label, spec in MIXTURES]
+    config = EmbeddingConfig(4, 6, 3)
+    which = {realization_seed(11, i, r): (i, r) for i in range(2) for r in range(2)}
+
+    def marked_generate(spec):
+        pool_sizes.append(which[spec.seed])
+        return generate(spec)
+
+    monkeypatch.setattr(bench, "generate", marked_generate)
+    report = run_noise_experiment(large, "zero", config, 2, 11)
+    workers = min(cpus, 3)
+    assert pool_sizes == [(0, 0), workers, (0, 1), workers, (1, 0), workers, (1, 1), workers]
+    assert bits(report.curves) == bits(serial_ensemble(large, config, 2, 11))
 
 
 @pytest.mark.parametrize("cpus", WORKERS)
