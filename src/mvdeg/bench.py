@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .blas import _blas_threads, _one_blas_thread, _openblas
+from .blas import _blas_core, _blas_threads, _one_blas_thread
 from .entropy import (
     EmbeddingConfig,
     EntropyCurve,
@@ -45,13 +45,6 @@ from .signal import MultivariateSignal
 GRAPH_POLICIES = ("zero", "complete", "theoretical", "estimated")
 
 
-def _blas_core() -> str | None:
-    """The CPU kernel numpy's bundled OpenBLAS runs, such as "Haswell"; None where
-    it is not found. Its products can round differently under another kernel."""
-    lib = _openblas()
-    return None if lib is None else lib.scipy_openblas_get_corename64_().decode()
-
-
 def environment_info() -> dict:
     """Versions, hardware tags, and the BLAS thread count and kernel recorded with
     every timing report."""
@@ -68,7 +61,7 @@ def environment_info() -> dict:
         "python": sys.version.split()[0],
         "numpy": np.__version__,
         "cpu": cpu,
-        "threads": None if _openblas() is None else _blas_threads(),
+        "threads": _blas_threads(),
         "blas_core": _blas_core(),
     }
 
@@ -107,7 +100,7 @@ class EnsembleReport:
     summary: dict = field(default_factory=dict)
 
 
-def _median_time(fn: Callable[[], object], repetitions: int = 3, warmup: int = 1) -> float:
+def _median_time(fn: Callable[[], object], repetitions: int, warmup: int) -> float:
     for _ in range(warmup):
         fn()
     times = []

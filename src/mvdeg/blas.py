@@ -1,4 +1,5 @@
-"""numpy's bundled OpenBLAS: its thread count, read back and pinned to one.
+"""numpy's bundled OpenBLAS: its thread count, read back and pinned to one, and
+the CPU kernel it runs. Every OpenBLAS query of the package is here.
 
 The hop products of a scale are (rows, p) x (p, p) with small p, too small to
 split: threaded, a p = 32, N = 100k curve took about 1.9x as long on 2 cores.
@@ -43,6 +44,13 @@ def _blas_threads() -> int | None:
     """Threads numpy's bundled OpenBLAS runs with; None where it is not found."""
     lib = _openblas()
     return None if lib is None else lib.scipy_openblas_get_num_threads64_()
+
+
+def _blas_core() -> str | None:
+    """The CPU kernel numpy's bundled OpenBLAS runs, such as "Haswell"; None where
+    it is not found. Its products can round differently under another kernel."""
+    lib = _openblas()
+    return None if lib is None else lib.scipy_openblas_get_corename64_().decode()
 
 
 @contextmanager

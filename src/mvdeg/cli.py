@@ -329,9 +329,10 @@ def main(argv: list[str] | None = None) -> int:
     except (DimensionError, ScaleUndefinedError) as err:
         print(f"mvdeg: dimension error: {err}", file=sys.stderr)
         return 3
-    except (MvdegError, MemoryError, ValueError) as err:  # an array too big to allocate or size
-        if isinstance(err, ValueError) and not str(err).startswith("array is too big"):
-            raise  # only numpy's refusal to size an array, not every ValueError
+    except (MvdegError, MemoryError, OverflowError, ValueError) as err:  # or a size too big
+        too_big = ("array is too big", "Maximum allowed dimension exceeded")
+        if isinstance(err, ValueError) and not str(err).startswith(too_big):
+            raise  # only numpy's refusals to size an array, not every ValueError
         print(f"mvdeg: {err}", file=sys.stderr)
         return 4
     except OSError as err:  # a path that cannot be opened, read or written

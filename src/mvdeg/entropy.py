@@ -62,8 +62,9 @@ _CHUNK_MIN_ROWS = 4096
 _POOL_MIN_SAMPLES = 150_000
 # _digits_from_cells reads class digits (class - 1) from a table per class
 # count over z-cells of width 2^-_CELL_BITS on [-_CELL_RANGE, _CELL_RANGE),
-# 32,768 cells (256 KiB); the pipelines hand it z 2^_CELL_BITS, which the hop
-# kernel makes in its own division and the edgeless path in its standardize.
+# 32,768 cells (256 KiB). Every caller hands it z 2^_CELL_BITS: the hop kernel
+# of mvdeg_single_scale makes it in its own division, and the edgeless path of
+# mvdeg_single_scale, classical_mvde and ncdf_map in _standardize(..., unit).
 # Each table is built on first use, and the _CLASS_TABLES most recently used
 # are kept (by lru_cache, which pool threads may share). Samples in cells next
 # to a class edge, marked -1, fall back to ndtr; as c grows they are more of the
@@ -237,21 +238,6 @@ def _standardize(
     return out
 
 
-def _classes_from_z(z: np.ndarray, c: int) -> np.ndarray:
-    """Map z-scores through the normal CDF onto int64 classes 1..c, overwriting z.
-
-    A class is 1 + the digit _digits_from_cells reads for z 2^_CELL_BITS (an
-    exact scaling), clipped first to the table's end cells so that any z, +-inf
-    too, maps.
-    """
-    half = _CELL_RANGE << _CELL_BITS
-    z *= 2.0 ** _CELL_BITS
-    np.clip(z, -half, half - 1, out=z)
-    classes = _digits_from_cells(z, c)
-    classes += 1
-    return classes
-
-
 def _digits_from_cells(cells: np.ndarray, c: int) -> np.ndarray:
     """Class digits 0..c-1 (class - 1) as int64, of z-scores given as cells = z 2^_CELL_BITS.
 
@@ -259,10 +245,14 @@ def _digits_from_cells(cells: np.ndarray, c: int) -> np.ndarray:
     trunc(cells + _CELL_RANGE 2^_CELL_BITS). The add rounds up by less than one
     cell, so the cell found is the true cell or the one above it, and a digit
     the table holds is exact. A cell index past either end of the table reads
-    that end's cell, which the cast gets right for |cells| below 2^62; the
-    pipelines' are below 2^10 sqrt(N), as |z| <= (N - 1) / sqrt(N). Samples in
+    that end's cell, which the cast gets right for |cells| below 2^62; its
+    callers' are below 2^10 sqrt(N), as |z| <= (N - 1) / sqrt(N). Samples in
     the cells the table marks -1, found in one flatnonzero scan, take
     _ndtr_classes of cells 2^-_CELL_BITS, which gives their z back exactly.
+
+    Its callers are mvdeg_single_scale (hop columns, or standardized chunks on
+    the edgeless graph), classical_mvde and ncdf_map; no other code maps z to
+    classes.
     """
     table = _class_table(int(c))
     digits = np.empty(cells.shape, dtype=np.int64)
@@ -438,12 +428,12 @@ def ncdf_map(signal: MultivariateSignal, c: int) -> np.ndarray:
     """
     if c < 2:
         raise DimensionError(f"class count must be >= 2, got {c}")
-    return _classes_from_z(_standardize(signal.values), c)
+    return _digits_from_cells(_standardize(signal.values, unit=2.0 ** -_CELL_BITS), c) + 1
 
 
 def _curve(
     n_samples: int, config: EmbeddingConfig, entropy_at: Callable[[int], float],
-    method: str, graph: str, pooled: bool = True,
+    method: str, graph: str, pooled: bool,
 ) -> EntropyCurve:
     """Entropy versus scale: entropy_at(tau) at each tau = 1..max_scale.
 

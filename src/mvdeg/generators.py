@@ -27,6 +27,7 @@ from .signal import MultivariateSignal
 GENERATOR_VERSION = "pcg64-v1"
 
 GENERATOR_KINDS = ("wgn", "one_over_f", "correlated", "mixture")
+_PIVOT_TOL = 1e-10  # _psd_lower_factor: a smaller pivot is a rank-deficient direction
 
 
 def _check_int(name: str, value, rule: str, least: int, most: float = math.inf) -> None:
@@ -124,11 +125,11 @@ def _one_over_f(white: np.ndarray) -> np.ndarray:
     return (x - x.mean()) / x.std()
 
 
-def _psd_lower_factor(corr: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def _psd_lower_factor(corr: np.ndarray) -> np.ndarray:
     """Lower-triangular factor L with L L^T = corr, allowing singular PSD input.
 
-    A pivot below -tol means a negative leading minor and raises
-    FactorizationError with its order. A pivot within tol of zero is a
+    A pivot below -_PIVOT_TOL means a negative leading minor and raises
+    FactorizationError with its order. A pivot within _PIVOT_TOL of zero is a
     rank-deficient direction: its column is zeroed, which is only consistent
     when the residual column is also ~0 (checked).
     """
@@ -136,10 +137,10 @@ def _psd_lower_factor(corr: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     lower = np.zeros((p, p))
     for j in range(p):
         pivot = corr[j, j] - lower[j, :j] @ lower[j, :j]
-        if pivot < -tol:
+        if pivot < -_PIVOT_TOL:
             raise FactorizationError(j + 1)
         residual = corr[j + 1:, j] - lower[j + 1:, :j] @ lower[j, :j]
-        if pivot <= tol:
+        if pivot <= _PIVOT_TOL:
             if np.any(np.abs(residual) > 1e-8):
                 raise FactorizationError(j + 1)
             continue

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import mvdeg.bench as bench
+import mvdeg.blas as blas
 from mvdeg import (
     DimensionError,
     EmbeddingConfig,
@@ -97,19 +98,19 @@ def test_environment_info_keys():
 def test_environment_info_names_the_openblas_kernel():
     core = environment_info()["blas_core"]
     assert isinstance(core, str) and core and core == core.strip()
-    assert core == bench._blas_core()
+    assert core == blas._blas_core()
 
 
 def test_environment_info_without_openblas_holds_none(monkeypatch):
-    monkeypatch.setattr(bench, "_openblas", lambda: None)
+    monkeypatch.setattr(blas, "_openblas", lambda: None)
     info = environment_info()
     assert info["threads"] is None and info["blas_core"] is None
     with bench._one_blas_thread():  # nothing to pin, nothing to restore
-        pass
+        assert bench._blas_threads() is None
 
 
 def _set_blas_threads(count):
-    bench._openblas().scipy_openblas_set_num_threads64_(count)
+    blas._openblas().scipy_openblas_set_num_threads64_(count)
 
 
 def test_one_blas_thread_pins_the_block_and_restores_the_count():
@@ -131,8 +132,8 @@ def test_timing_sweep_runs_on_one_blas_thread_and_restores_the_callers():
     # without OPENBLAS_NUM_THREADS, OpenBLAS starts with a thread per CPU
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     code = (
-        "import mvdeg, mvdeg.bench as b\n"
-        "b._openblas().scipy_openblas_set_num_threads64_(2)\n"
+        "import mvdeg, mvdeg.bench as b, mvdeg.blas\n"
+        "mvdeg.blas._openblas().scipy_openblas_set_num_threads64_(2)\n"
         "r = mvdeg.run_timing_sweep((40,), p=2, m=2, c=3, repetitions=1, warmup=0)\n"
         "print(r.environment['threads'], b._blas_threads())"
     )

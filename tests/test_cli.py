@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import mvdeg.bench as bench
+import mvdeg.blas as blas
 import mvdeg.cli as cli
 from mvdeg.cli import main
 
@@ -128,6 +129,30 @@ def test_graph_numpy_cannot_size_is_one_line_and_exit_4(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("mvdeg: array is too big") and err.count("\n") == 1
     assert not (tmp_path / "g.json").exists()
+
+
+PAST_INT64 = str(10 ** 20)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("generate", "--kind", "wgn", "--p", "2", "--n", PAST_INT64),
+        ("generate", "--kind", "wgn", "--p", PAST_INT64, "--n", "10"),
+        ("graph", "--kind", "zero", "--p", PAST_INT64),
+        ("bench", "--Ns", PAST_INT64, "--p", "2"),
+        ("bench", "--Ns", "100", "--p", PAST_INT64),
+        ("ensemble", "--experiment", "mixture", "--n", PAST_INT64, "--realizations", "1"),
+        ("ensemble", "--experiment", "degrees", "--p", PAST_INT64, "--realizations", "1"),
+    ],
+    ids=["generate-n", "generate-p", "graph-p", "bench-Ns", "bench-p", "ensemble-n", "ensemble-p"],
+)
+def test_size_past_int64_is_one_line_and_exit_4(tmp_path, capsys, argv):
+    # numpy cannot size the array (ValueError) or Python cannot pass the int to C (OverflowError)
+    assert run(*argv, "--out", str(tmp_path / "out")) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("mvdeg: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_graph_correlation_from_signal(tmp_path, capsys):
@@ -556,7 +581,7 @@ def test_commands_run_on_one_blas_thread_and_restore_the_count(tmp_path, monkeyp
         return 0
 
     monkeypatch.setattr(cli, "_cmd_graph", command)
-    set_threads = bench._openblas().scipy_openblas_set_num_threads64_
+    set_threads = blas._openblas().scipy_openblas_set_num_threads64_
     before = bench._blas_threads()
     try:
         set_threads(2)

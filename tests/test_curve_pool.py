@@ -138,7 +138,7 @@ def test_first_failing_scale_in_tau_order_wins(affinity, cpus):
         return float(tau)
 
     with pytest.raises(ValueError, match="^scale 3$"):
-        _curve(100, EmbeddingConfig(m=2, c=3, max_scale=8), entropy_at, "mvdeg", "test")
+        _curve(100, EmbeddingConfig(m=2, c=3, max_scale=8), entropy_at, "mvdeg", "test", pooled=True)
 
 
 @pytest.fixture
@@ -161,7 +161,8 @@ def test_pool_has_one_worker_per_cpu_and_at_most_one_per_scale(
 ):
     affinity(cpus)
     # n_samples // tau >= m + 1 = 3 holds for tau = 1 .. defined
-    curve = _curve(3 * defined, EmbeddingConfig(m=2, c=3, max_scale=20), float, "mvdeg", "test")
+    config = EmbeddingConfig(m=2, c=3, max_scale=20)
+    curve = _curve(3 * defined, config, float, "mvdeg", "test", pooled=True)
     assert pool_sizes == [workers]
     assert [r.mean for r in curve.records if r.defined] == [float(t) for t in range(1, defined + 1)]
 
@@ -169,7 +170,7 @@ def test_pool_has_one_worker_per_cpu_and_at_most_one_per_scale(
 def test_pool_falls_back_to_the_cpu_count_without_an_affinity_api(monkeypatch, pool_sizes):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    _curve(100, EmbeddingConfig(m=2, c=3, max_scale=20), float, "mvdeg", "test")
+    _curve(100, EmbeddingConfig(m=2, c=3, max_scale=20), float, "mvdeg", "test", pooled=True)
     assert pool_sizes == [3]
 
 

@@ -391,7 +391,6 @@ def test_classical_reads_the_class_table_without_ncdf_map(monkeypatch):
         raise AssertionError("classical_mvde went through the public class view")
 
     monkeypatch.setattr(entropy_module, "ncdf_map", refuse)
-    monkeypatch.setattr(entropy_module, "_classes_from_z", refuse)
     assert classical_mvde(sig, 3, 6)[1].counts == expected
 
 

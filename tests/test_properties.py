@@ -48,7 +48,7 @@ from mvdeg.entropy import (
     _CHUNK_MIN_ROWS,
     _CLASS_TABLES,
     _class_table,
-    _classes_from_z,
+    _digits_from_cells,
     _moments,
     _standardize,
     _time_chunks,
@@ -386,6 +386,11 @@ def basis_class_map(z, c):
     return np.floor(c * ndtr(z) + 1.0).clip(1, c).astype(np.int64)
 
 
+def table_classes(z, c):
+    """Classes 1..c as the pipelines read them: the class table's digit of z 2^_CELL_BITS."""
+    return _digits_from_cells(z * 2.0 ** _CELL_BITS, c) + 1
+
+
 @st.composite
 def embeddings(draw):
     """(m, c) with c^m below 2^62, reaching codes above 2^53 for large m."""
@@ -410,15 +415,15 @@ def test_streamed_histogram_equals_the_whole_basis_oracle(case, embedding):
 
 def test_class_map_matches_the_whole_basis_map_at_every_class_edge():
     # ndtr is not monotone within one ulp of some edges (c = 5 near
-    # z = -0.8416), so the in-place map must round exactly as the old one did
+    # z = -0.8416), so the table must round exactly as the whole-basis map did
     for c in range(2, 65):
         edge = ndtri(np.arange(1, c) / c)
         up, down, zs = edge, edge, [edge]
         for _ in range(64):
             up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
             zs += [up, down]
-        z = np.concatenate(zs + [np.array([-np.inf, -40.0, 0.0, 40.0, np.inf])])
-        assert np.array_equal(_classes_from_z(z.copy(), c), basis_class_map(z, c))
+        z = np.concatenate(zs + [np.array([-(2.0 ** 51), -40.0, 0.0, 40.0, 2.0 ** 51])])
+        assert np.array_equal(table_classes(z, c), basis_class_map(z, c))
 
 
 # ── the class table against ndtr ────────────────────────────────────────────
@@ -448,26 +453,26 @@ def around(points, ulps=8):
 @pytest.mark.parametrize("c", TABLE_CS)
 def test_table_class_map_equals_ndtr_around_every_cell_edge(c):
     z = around(cell_edges())
-    assert np.array_equal(_classes_from_z(z.copy(), c), basis_class_map(z, c))
+    assert np.array_equal(table_classes(z, c), basis_class_map(z, c))
 
 
 @pytest.mark.parametrize("c", TABLE_CS)
 def test_table_class_map_equals_ndtr_around_every_class_edge(c):
     z = around(ndtri(np.arange(1, c) / c))
-    assert np.array_equal(_classes_from_z(z.copy(), c), basis_class_map(z, c))
+    assert np.array_equal(table_classes(z, c), basis_class_map(z, c))
 
 
 @pytest.mark.parametrize("c", TABLE_CS)
 def test_table_class_map_at_the_ends_of_the_float_range(c):
     tiny = np.nextafter(0.0, 1.0)
     specials = np.array([
-        np.inf, 1e300, 16.0, 16.0 - 2.0 ** -_CELL_BITS, 15.0, 1e-15, 2.0 ** -51,
+        2.0 ** 51, 2.0 ** 40, 16.0, 16.0 - 2.0 ** -_CELL_BITS, 15.0, 1e-15, 2.0 ** -51,
         tiny, 2.2e-308, 2.2250738585072014e-308, 0.0,
     ])
     z = np.concatenate([specials, -specials])
     assert np.signbit(z[-1])  # -0.0
     for shaped in (z, z.reshape(2, -1), z.reshape(-1, 2).T):
-        classes = _classes_from_z(shaped.copy(), c)
+        classes = table_classes(shaped, c)
         assert classes.dtype == np.int64 and classes.shape == shaped.shape
         assert np.array_equal(classes, basis_class_map(shaped, c))
 
@@ -476,13 +481,27 @@ def test_table_class_map_at_the_ends_of_the_float_range(c):
 @given(st.integers(2, 1000), st.floats(-3.0, 3.0), st.integers(0, 2 ** 32 - 1))
 def test_table_class_map_equals_ndtr_on_scaled_normal_z(c, decades, seed):
     z = np.random.default_rng(seed).standard_normal(2048) * 10.0 ** decades
-    assert np.array_equal(_classes_from_z(z.copy(), c), basis_class_map(z, c))
+    assert np.array_equal(table_classes(z, c), basis_class_map(z, c))
+
+
+@EXAMPLES
+@given(st.integers(1, 5), st.integers(2, 80), st.integers(2, 70), st.integers(0, 2 ** 32 - 1),
+       st.data())
+def test_ncdf_map_equals_ndtr_of_the_z_scores(p, n, c, seed, data):
+    # gains 2^k reach sds far from 1, where the z-cells of _standardize's unit
+    # must still be z 2^_CELL_BITS exactly; a constant channel's z-scores are 0
+    gains = data.draw(st.lists(st.integers(-400, 400), min_size=p, max_size=p))
+    constant = data.draw(st.lists(st.booleans(), min_size=p, max_size=p))
+    values = np.random.default_rng(seed).standard_normal((p, n)) * 2.0 ** np.array(gains)[:, None]
+    values[constant] = values[constant, :1]
+    classes = ncdf_map(MultivariateSignal(values), c)
+    assert np.array_equal(classes, basis_class_map(_standardize(values), c))
 
 
 def test_class_tables_are_read_only_and_at_most_class_tables_are_kept():
     cs = range(3, 3 + 2 * _CLASS_TABLES)
     for c in cs:
-        _classes_from_z(np.linspace(-3.0, 3.0, 7), c)
+        table_classes(np.linspace(-3.0, 3.0, 7), c)
         assert not _class_table(c).flags.writeable
     info = _class_table.cache_info()
     assert info.maxsize == _CLASS_TABLES and info.currsize == _CLASS_TABLES
@@ -500,7 +519,7 @@ def test_pool_threads_share_the_class_tables():
     jobs = [(z, c) for z in zs for c in (4, 7, 11)]
     _class_table.cache_clear()
     with ThreadPoolExecutor(4) as pool:
-        got = list(pool.map(lambda job: _classes_from_z(job[0].copy(), job[1]), jobs))
+        got = list(pool.map(lambda job: table_classes(*job), jobs))
     for (z, c), classes in zip(jobs, got):
         assert np.array_equal(classes, basis_class_map(z, c))
 
