@@ -30,8 +30,8 @@ class DimensionError(MvdegError):
 class DegenerateChannelError(MvdegError):
     """A channel has zero variance where spread is required."""
 
-    def __init__(self, channel: int, message: str | None = None):
-        super().__init__(message or f"channel {channel} has zero variance")
+    def __init__(self, channel: int):
+        super().__init__(f"channel {channel} has zero variance")
         self.channel = channel
 
 

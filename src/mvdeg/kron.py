@@ -22,15 +22,15 @@ division, u / (r unit): mvdeg_single_scale asks for its columns in z-cells
 scan runs only when the step could overflow: as W >= 0 a hop value is r times
 a weighted average of the input, and mvdeg_single_scale bounds |z| by
 sqrt(N). On the edgeless graph column k is column 0 shifted k samples, which
-mvdeg_single_scale slices. build_hop_basis, HopBasis and apply_hop stack the
-whole columns, in the input's units, as a view for tests. The dense A and its binomial
-expansion live only in oracles.py.
+mvdeg_single_scale slices. For tests, build_hop_basis returns the whole
+columns stacked as one (N p, m) array in the input's units, and apply_hop one
+column with its horizon mask. The dense A and its binomial expansion live
+only in oracles.py.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from math import frexp, inf, ldexp
 
 import numpy as np
@@ -101,48 +101,20 @@ def apply_hop(
     """Row-sum normalized k-hop aggregate in stacked layout.
 
     Returns (values, valid), column k of build_hop_basis(signal, graph, k + 1)
-    and its horizon mask, both of length N * p. Production does not call it.
+    and its horizon mask, both of length N * p: entry t p + ch is valid when
+    t + k <= N - 1. Production does not call it.
     """
     if k < 0:
         raise DimensionError(f"hop order must be >= 0, got {k}")
-    basis = build_hop_basis(signal, graph, k + 1)
-    return basis.values[:, k].copy(), basis.valid[:, k]
+    values = build_hop_basis(signal, graph, k + 1)[:, k].copy()
+    return values, np.repeat(np.arange(signal.n_samples) + k < signal.n_samples, signal.p)
 
 
-@dataclass(frozen=True)
-class HopBasis:
-    """Embedding columns y_0 .. y_(m-1) for one signal and channel graph.
-
-    values[:, k] is the k-hop aggregate in stacked layout. Entry (t p + ch, k)
-    is valid when t + k <= N - 1, so the mask follows from (n_time, graph.n, m)
-    and is not stored. Column 0 is the stacked signal, valid everywhere.
-    Production does not build one.
-    """
-
-    values: np.ndarray
-    n_time: int
-    graph: WeightedGraph
-
-    @property
-    def m(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def valid(self) -> np.ndarray:
-        """(N p, m) flags of the entries inside their hop horizon."""
-        time = np.repeat(np.arange(self.n_time), self.graph.n)
-        return time[:, None] + np.arange(self.m) < self.n_time
-
-    def row_mask(self) -> np.ndarray:
-        """Rows valid in every column, the first (N - m + 1) p; these survive into the pattern set."""
-        return self.valid[:, -1]
-
-
-def build_hop_basis(signal: MultivariateSignal, graph: WeightedGraph, m: int) -> HopBasis:
+def build_hop_basis(signal: MultivariateSignal, graph: WeightedGraph, m: int) -> np.ndarray:
     """Hop columns 0 .. m-1 as an (N p, m) matrix, 0 past the horizon; production does not call it."""
     if m < 1:
         raise DimensionError(f"embedding needs m >= 1 columns, got {m}")
     values = np.zeros((signal.n_samples * signal.p, m))
     for k, column in enumerate(_hop_columns(signal.values.T, graph.weights, m)):
         values[: column.size, k] = column.ravel()
-    return HopBasis(values=values, n_time=signal.n_samples, graph=graph)
+    return values

@@ -320,7 +320,7 @@ def test_cli_ensemble_does_not_depend_on_the_cpus_it_may_use(tmp_path):
 def test_classical_curve_refuses_before_any_scale_runs(monkeypatch):
     signal = gen_wgn(2, 200, 3)
     calls = []
-    monkeypatch.setattr(entropy, "classical_mvde", lambda *args, **kwargs: calls.append(args))
+    monkeypatch.setattr(entropy, "_digits_from_cells", lambda *args, **kwargs: calls.append(args))
     with pytest.raises(CapacityError) as err:
         classical_mvde_curve(signal, EmbeddingConfig(m=3, c=4, max_scale=5), pattern_cap=1000)
     assert (err.value.count, err.value.cap) == (198 * 20, 1000)

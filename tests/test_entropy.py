@@ -26,6 +26,7 @@ from mvdeg import (
     mvdeg_single_scale,
     ncdf_map,
     normalized_entropy,
+    gen_wgn,
     pattern_counts,
     univariate_mde,
     univariate_single_scale,
@@ -48,6 +49,19 @@ def classical_oracle(signal, m, c, tau=1):
     total = sum(counter.values())
     h = -sum((n / total) * math.log(n / total) for n in counter.values())
     return h / (m * math.log(c)), counter
+
+
+# ── signal container ─────────────────────────────────────────────────────────
+
+
+@pytest.mark.parametrize("values, labels, message", [
+    (np.ones(5), None, "must be 2-D"),
+    (np.ones((0, 5)), None, "at least one channel"),
+    (np.ones((2, 5)), ("a",), "1 channel labels for 2 channels"),
+], ids=["one-d", "no-channels", "labels"])
+def test_signal_validation(values, labels, message):
+    with pytest.raises(DimensionError, match=message):
+        MultivariateSignal(values, labels=labels)
 
 
 # ── coarse graining ──────────────────────────────────────────────────────────
@@ -76,6 +90,9 @@ def test_coarse_grain_undefined_scale():
     assert err.value.tau == 3
     with pytest.raises(DimensionError):
         coarse_grain(sig, 0)
+    with pytest.raises(ScaleUndefinedError) as err:
+        classical_mvde(gen_wgn(2, 10, 0), 4, 6, tau=3)  # 3 coarse samples < m + 1
+    assert (err.value.tau, err.value.length) == (3, 3)
 
 
 # ── class map ────────────────────────────────────────────────────────────────
@@ -204,6 +221,12 @@ def test_single_scale_validation():
         mvdeg_single_scale(sig, build_zero_graph(2), 1, 4)
     with pytest.raises(DimensionError):
         mvdeg_single_scale(sig, build_zero_graph(2), 2, 1)
+    with pytest.raises(DimensionError, match="expected a 1-D channel"):
+        univariate_single_scale(np.ones((2, 5)), 2, 4)
+    with pytest.raises(DimensionError, match="need more than m=4 samples, got 4"):
+        univariate_single_scale(np.arange(4.0), 4, 6)
+    with pytest.raises(DimensionError, match="expected a 1-D channel"):
+        univariate_mde(np.ones((2, 5)), EmbeddingConfig(m=2, c=3, max_scale=2))
 
 
 def test_single_scale_empty_rows():
@@ -447,6 +470,10 @@ def test_pattern_counts_reference_values():
     assert pattern_counts(10, 2, 2) == (9 * 6, 16)
     with pytest.raises(DimensionError):
         pattern_counts(4, 2, 4)
+    with pytest.raises(DimensionError):
+        pattern_counts(10, 2, 1)
+    with pytest.raises(DimensionError):
+        pattern_counts(10, 0, 2)
 
 
 def test_histogram_validation():
@@ -456,6 +483,11 @@ def test_histogram_validation():
         DispersionHistogram({(0, 1): 1}, m=2, c=3)
     with pytest.raises(DimensionError):
         DispersionHistogram({(1, 1): 0}, m=2, c=3)
+    with pytest.raises(DimensionError):
+        DispersionHistogram.from_class_rows(np.ones((3, 3), dtype=np.int64), 2, 3)
+    hist = DispersionHistogram({(1, 2): 1}, m=2, c=3)
+    assert hist != {(1, 2): 1}
+    assert hist != DispersionHistogram({(1, 2): 1}, m=2, c=4)
 
 
 def test_normalized_entropy_reference_values():

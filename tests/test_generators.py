@@ -137,6 +137,14 @@ def test_non_psd_three_by_three_names_third_minor():
     assert err.value.minor == 3
 
 
+def test_zero_pivot_with_a_residual_names_its_minor():
+    # the second pivot is exactly 0 while the third row still correlates with it
+    corr = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.5], [0.0, 0.5, 1.0]])
+    with pytest.raises(FactorizationError) as err:
+        gen_correlated(3, 50, corr, seed=0)
+    assert err.value.minor == 2
+
+
 def test_correlation_matrix_validation():
     with pytest.raises(DimensionError):
         gen_correlated(2, 100, np.eye(3), seed=0)

@@ -50,6 +50,8 @@ def test_graph_validation():
     with pytest.raises(DimensionError):
         WeightedGraph(np.ones((2, 3)))
     with pytest.raises(DimensionError):
+        WeightedGraph(np.ones((0, 0)))
+    with pytest.raises(DimensionError):
         WeightedGraph(np.array([[0.0, -1.0], [-1.0, 0.0]]))
     with pytest.raises(DimensionError):
         WeightedGraph(np.array([[0.0, np.inf], [np.inf, 0.0]]))
@@ -103,6 +105,8 @@ def test_gaussian_kernel_parameter_validation():
 def test_station_layout_validation():
     with pytest.raises(DimensionError):
         StationLayout(np.zeros((2, 3)))
+    with pytest.raises(DimensionError):
+        StationLayout(np.zeros((0, 2)))
     with pytest.raises(DimensionError):
         StationLayout(np.array([[0.0, np.nan]]))
     with pytest.raises(DimensionError):

@@ -109,6 +109,10 @@ def test_naive_power_validation():
         naive_power(np.eye(2), -1)
     with pytest.raises(SizeCapError):
         naive_power(np.eye(10), 2, dense_cap=5)
+    with pytest.raises(SizeCapError):
+        product_power_terms(4, build_complete_graph(2), 2).to_dense(dense_cap=5)
+    with pytest.raises(DimensionError):
+        product_power_terms(4, build_complete_graph(2), -1)
 
 
 def test_expansion_k0_is_identity():
@@ -208,32 +212,33 @@ def test_hop_basis_first_column_is_stacked_signal():
     rng = np.random.default_rng(4)
     sig = MultivariateSignal(rng.standard_normal((3, 12)))
     basis = build_hop_basis(sig, build_complete_graph(3), m=4)
-    assert np.array_equal(basis.values[:, 0], sig.stacked())
-    assert basis.valid[:, 0].all()
-    assert basis.m == 4
+    assert np.array_equal(basis[:, 0], sig.stacked())
+    assert apply_hop(sig, build_complete_graph(3), 0)[1].all()
+    assert basis.shape == (36, 4)
 
 
 def test_hop_basis_averaging_preserves_constants():
     sig = MultivariateSignal(np.full((3, 6), 5.0))
     basis = build_hop_basis(sig, build_complete_graph(3), m=2)
-    assert np.all(basis.values[basis.valid[:, 0], 0] == 5.0)
-    assert np.all(basis.values[basis.valid[:, 1], 1] == 5.0)
+    for k in range(2):
+        valid = apply_hop(sig, build_complete_graph(3), k)[1]
+        assert np.all(basis[valid, k] == 5.0)
 
 
 def test_hop_basis_mask_is_time_horizon():
     sig = MultivariateSignal(np.ones((2, 5)))
-    basis = build_hop_basis(sig, build_complete_graph(2), m=3)
+    g = build_complete_graph(2)
     for k in range(3):
         expected = np.repeat(np.arange(5) <= 4 - k, 2)
-        assert np.array_equal(basis.valid[:, k], expected)
+        assert np.array_equal(apply_hop(sig, g, k)[1], expected)
     # rows surviving every column: first N - m + 1 time steps
-    assert basis.row_mask().sum() == (5 - 3 + 1) * 2
+    assert apply_hop(sig, g, 3 - 1)[1].sum() == (5 - 3 + 1) * 2
 
 
 def test_hop_basis_two_time_steps_masks_second_row():
     sig = MultivariateSignal(np.array([[1.0, 2.0]]))
-    basis = build_hop_basis(sig, build_zero_graph(1), m=2)
-    assert np.array_equal(basis.valid, [[True, True], [True, False]])
+    valid = [apply_hop(sig, build_zero_graph(1), k)[1] for k in range(2)]
+    assert np.array_equal(np.column_stack(valid), [[True, True], [True, False]])
 
 
 def test_hop_basis_columns_match_apply_hop():
@@ -243,8 +248,8 @@ def test_hop_basis_columns_match_apply_hop():
     basis = build_hop_basis(sig, g, m=4)
     for k in range(4):
         values, valid = apply_hop(sig, g, k)
-        assert np.array_equal(basis.values[:, k], values)
-        assert np.array_equal(basis.valid[:, k], valid)
+        assert np.array_equal(basis[:, k], values)
+        assert np.all(basis[~valid, k] == 0.0)
 
 
 def test_hop_basis_validation():

@@ -110,8 +110,7 @@ def test_hop_basis_matches_row_normalized_dense_power(case, m):
         horizon = np.repeat(np.arange(n) + k <= n - 1, p)
         expected = np.zeros(n * p)
         np.divide(power @ signal.stacked(), power.sum(axis=1), out=expected, where=horizon)
-        assert np.array_equal(basis.valid[:, k], horizon)
-        assert np.allclose(basis.values[:, k], expected, rtol=0.0, atol=1e-12)
+        assert np.allclose(basis[:, k], expected, rtol=0.0, atol=1e-12)
 
 
 # ── channel-permutation equivariance ────────────────────────────────────────
@@ -131,8 +130,8 @@ def test_channel_permutation_permutes_basis_and_keeps_histogram(case, m, c, rnd)
     moved_signal = MultivariateSignal(signal.values[perm])
     moved_graph = WeightedGraph(graph.weights[np.ix_(perm, perm)], directed=graph.directed)
 
-    basis = build_hop_basis(signal, graph, m).values.reshape(n, p, m)
-    moved = build_hop_basis(moved_signal, moved_graph, m).values.reshape(n, p, m)
+    basis = build_hop_basis(signal, graph, m).reshape(n, p, m)
+    moved = build_hop_basis(moved_signal, moved_graph, m).reshape(n, p, m)
     assert np.allclose(moved, basis[:, perm, :], rtol=0.0, atol=1e-12)
 
     value, hist = mvdeg_single_scale(signal, graph, m, c)
@@ -407,7 +406,7 @@ def test_streamed_histogram_equals_the_whole_basis_oracle(case, embedding):
     value, hist = mvdeg_single_scale(signal, graph, m, c)
     z = MultivariateSignal(_standardize(signal.values))
     rows = (signal.n_samples - m + 1) * signal.p
-    classes = basis_class_map(build_hop_basis(z, graph, m).values[:rows], c)
+    classes = basis_class_map(build_hop_basis(z, graph, m)[:rows], c)
     oracle = DispersionHistogram.from_class_rows(classes, m, c)
     assert hist == oracle
     assert value.hex() == normalized_entropy(oracle).hex()
@@ -531,7 +530,7 @@ def whole_basis_oracle(signal, graph, m, c):
     """(entropy, histogram) from classing the whole (N p, m) hop basis at once."""
     z = MultivariateSignal(_standardize(signal.values))
     rows = (signal.n_samples - m + 1) * signal.p
-    classes = basis_class_map(build_hop_basis(z, graph, m).values[:rows], c)
+    classes = basis_class_map(build_hop_basis(z, graph, m)[:rows], c)
     oracle = DispersionHistogram.from_class_rows(classes, m, c)
     return normalized_entropy(oracle), oracle
 
