@@ -65,10 +65,12 @@ _POOL_MIN_SAMPLES = 150_000
 # 32,768 cells (256 KiB). Every caller hands it z 2^_CELL_BITS: the hop kernel
 # of mvdeg_single_scale makes it in its own division, and the edgeless path of
 # mvdeg_single_scale, classical_mvde and ncdf_map in _standardize(..., unit).
-# Each table is built on first use, and the _CLASS_TABLES most recently used
-# are kept (by lru_cache, which pool threads may share). Samples in cells next
-# to a class edge, marked -1, fall back to ndtr; as c grows they are more of the
-# data, and on 2 cores the table stopped paying at about c = 150-300.
+# Each table is built from math.erfc on first use, and the _CLASS_TABLES most
+# recently used are kept (by lru_cache, which pool threads may share). A cell
+# next to a class edge holds that edge's guard band instead, about 1e-11 wide
+# in z at c = 6: samples outside it are classed by comparison, and only those
+# inside it, or in cells that hold two or more edges (from c of about 850),
+# call scipy's ndtr.
 _CELL_BITS = 10
 _CELL_RANGE = 16
 _CLASS_TABLES = 8
@@ -247,8 +249,11 @@ def _digits_from_cells(cells: np.ndarray, c: int) -> np.ndarray:
     the table holds is exact. A cell index past either end of the table reads
     that end's cell, which the cast gets right for |cells| below 2^62; its
     callers' are below 2^10 sqrt(N), as |z| <= (N - 1) / sqrt(N). Samples in
-    the cells the table marks -1, found in one flatnonzero scan, take
-    _ndtr_classes of cells 2^-_CELL_BITS, which gives their z back exactly.
+    the cells that hold a band b instead, found in one flatnonzero scan, are
+    classed by comparison with the band's ends: below its low end they take
+    its digit below, above its high end that digit + 1. Only samples inside a
+    band take _ndtr_classes of cells 2^-_CELL_BITS, which gives their z back
+    exactly; when there are none, scipy is not imported.
 
     Its callers are mvdeg_single_scale (hop columns, or standardized chunks on
     the edgeless graph), classical_mvde and ncdf_map; no other code maps z to
@@ -257,42 +262,107 @@ def _digits_from_cells(cells: np.ndarray, c: int) -> np.ndarray:
     table = _class_table(int(c))
     digits = np.empty(cells.shape, dtype=np.int64)
     np.add(cells, _CELL_RANGE << _CELL_BITS, out=digits, casting="unsafe")  # the cast truncates
-    np.take(table, digits, out=digits, mode="clip")
-    near_edge = np.flatnonzero(digits < 0)
-    flat = digits.reshape(-1)
-    flat[near_edge] = _ndtr_classes(cells.reshape(-1)[near_edge] / 2.0 ** _CELL_BITS, c) - 1
+    np.take(table[0], digits, out=digits, mode="clip")
+    near = np.flatnonzero(digits < 0)
+    if near.size:
+        flat, z = digits.reshape(-1), cells.reshape(-1)[near]
+        band = ~flat[near]
+        above = z > table[3].view(np.float64)[band]
+        flat[near] = table[1][band] + above
+        inside = np.flatnonzero(above != (z >= table[2].view(np.float64)[band]))
+        if inside.size:
+            flat[near[inside]] = _ndtr_classes(z[inside] / 2.0 ** _CELL_BITS, c) - 1
     return digits
 
 
 @lru_cache(maxsize=_CLASS_TABLES)
 def _class_table(c: int) -> np.ndarray:
-    """Read-only int64 class digit (class - 1) per z-cell for _digits_from_cells; -1
-    where it must fall back.
+    """Read-only int64 (4, cells) array for _digits_from_cells: row 0 holds the class
+    digit (class - 1) of each z-cell, or ~b where the cell holds band b; rows 1-3
+    hold band b's digit below it and its low and high ends (float64, in cells).
 
-    Cell j spans [e_j, e_(j+1)) with e_j = j 2^-_CELL_BITS - _CELL_RANGE. It holds
-    a digit when _ndtr_classes gives that class at e_(j-1) .. e_(j+2), the edges
-    of the cell and of both its neighbours, so the class holds over every z
-    whose index lands on j. Cell 0 also stands for all z below -_CELL_RANGE and
-    the last cell for all z above; every class edge ndtri(k/c) lies within
-    +-6.2 for c < 2^31, so they hold classes 1 and c.
+    Cell j spans [e_j, e_(j+1)) with e_j = j 2^-_CELL_BITS - _CELL_RANGE, and is
+    read for z in [e_(j-1), e_(j+2)), its window. The table is built from the
+    stdlib: L(z) = c Phi(z) + 1 with Phi(z) = erfc(-z / sqrt 2) / 2, which is
+    within 2.2e-16 of ndtr but not bit-equal to it. A z is sure when L(z) lies
+    more than the margin (c + 1) 2^-40 from every class edge 2..c: there
+    floor(L) is the class _ndtr_classes gives, with 2^10 headroom over both
+    errors and the two roundings. A window whose ends are sure and hold the
+    same class holds its digit. One holding exactly one edge k gets that edge's
+    band [low, high], whose ends are checked sure: below it the class is k - 1,
+    above it k, as both Phi are monotone up to their errors. The edge z = 0 of
+    even c is exact, since ndtr(0) = 1/2 and ndtr(z) >= 1/2 for z >= 0 (Cephes
+    adds erf(z / sqrt 2) >= 0 there), so its band ends below -0.0. A window
+    holding two or more edges (from c = 856), or whose band fails its
+    check, holds band 0, which takes every z to ndtr. Cell 0 also stands for
+    all z below -_CELL_RANGE and the last cell for all z above, so they hold a
+    digit or band 0, never an edge's band; every class edge ndtri(k/c) lies
+    within +-6.2 for c < 2^31, so they hold classes 1 and c.
     """
-    half = _CELL_RANGE << _CELL_BITS
-    at = _ndtr_classes(np.arange(-half - 1, half + 2) / 2.0 ** _CELL_BITS, c)  # e_-1 ..
-    safe = (at[:-3] == at[1:-2]) & (at[1:-2] == at[2:-1]) & (at[2:-1] == at[3:])
+    n = 2 * _CELL_RANGE << _CELL_BITS
+    edges = (np.arange(-1, n + 2) / 2.0 ** _CELL_BITS - _CELL_RANGE).tolist()  # e_-1 ..
+    level = c * np.array([_phi(z) for z in edges]) + 1.0
+    margin = (c + 1) * 2.0 ** -40
+    first = np.maximum(np.ceil(level[:-3] - margin), 2)  # the class edges each window
+    last = np.minimum(np.floor(level[3:] + margin), c)  # may hold, first..last
     # in its own pages: a table made mid-scale on the malloc heap would keep
     # the heap from shrinking below it for as long as it is cached
-    table = np.frombuffer(mmap.mmap(-1, 8 * safe.size), dtype=np.int64)
-    table.fill(-1)
-    np.subtract(at[1:-2], 1, out=table, where=safe)
-    assert table[0] == 0 and table[-1] == c - 1, f"end cells of the class table for c={c}"
+    table = np.frombuffer(mmap.mmap(-1, 4 * 8 * n), dtype=np.int64).reshape(4, n)
+    digits, below = table[0], table[1]
+    low, high = table[2].view(np.float64), table[3].view(np.float64)
+    low[0], high[0] = -math.inf, math.inf  # band 0
+    digits.fill(-1)
+    held = first > last
+    np.subtract(np.minimum(np.floor(level[:-3]), c), 1, out=digits, where=held, casting="unsafe")
+    bands = {}  # class edge k -> its band
+    for j in (np.flatnonzero(first[1:-1] == last[1:-1]) + 1).tolist():  # not the end cells
+        k = int(first[j])
+        if k not in bands:
+            ends = _edge_band(edges[j], edges[j + 3], k, c, margin)
+            bands[k] = b = len(bands) + 1 if ends else 0
+            if b:
+                below[b], low[b], high[b] = k - 2, *(end * 2.0 ** _CELL_BITS for end in ends)
+                if 2 * (k - 1) == c:  # the edge z = 0: every cell >= -0.0 is above it
+                    high[b] = -math.ulp(0.0)
+        digits[j] = ~bands[k]
+    assert c >= 2 ** 31 or (digits[0], digits[-1]) == (0, c - 1), f"end cells of the class table for c={c}"
     table.flags.writeable = False
     return table
+
+
+_SQRT_HALF = math.sqrt(0.5)
+
+
+def _phi(z: float) -> float:
+    """The standard normal CDF from the stdlib, within 2.2e-16 of ndtr."""
+    return 0.5 * math.erfc(-z * _SQRT_HALF)
+
+
+def _edge_band(a: float, b: float, k: int, c: int, margin: float) -> tuple[float, float] | None:
+    """(low, high) around the z where L(z) = c Phi(z) + 1 = k, found by Newton from the
+    middle of [a, b], with L(low) < k - margin and L(high) > k + margin, so both ends
+    are sure. Widened until its ends pass that check; None if they never do."""
+    z = (a + b) / 2
+    for _ in range(5):
+        density = c * math.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
+        if not density:
+            return None
+        z -= (c * _phi(z) + 1.0 - k) / density
+    width = 2 * margin / density
+    for _ in range(8):
+        low, high = z - width, z + width
+        if c * _phi(low) + 1.0 < k - margin and c * _phi(high) + 1.0 > k + margin:
+            return low, high
+        width *= 4
+    return None
 
 
 def _ndtr_classes(z: np.ndarray, c: int) -> np.ndarray:
     """round(c * Phi(z) + 0.5) as int64, overwriting z: with ties away from zero
     that is floor(c * Phi(z) + 1), capped at c where Phi(z) = 1. The class edges
-    are those of scipy's ndtr, which is not monotone within one ulp of some of them.
+    are those of scipy's ndtr, which is not monotone within one ulp of some of
+    them. The class table reproduces it; _digits_from_cells calls it only for
+    samples inside a band of the table.
     """
     _ndtr()(z, out=z)
     z *= c
@@ -303,7 +373,8 @@ def _ndtr_classes(z: np.ndarray, c: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _ndtr():
     """scipy's ndtr, imported on first use rather than with mvdeg, whose import time
-    it would mostly be. It is imported on a thread of its own: its modules live
+    it would mostly be; a run whose samples all miss the class table's bands
+    never imports it. It is imported on a thread of its own: its modules live
     as long as the process, and allocated on the caller's malloc heap in the
     middle of a run they would keep that heap from shrinking below them (a
     p = 32, N = 100k curve run after building its signal held 25-55 MB more)."""
@@ -525,10 +596,21 @@ def mvdeg_curve(
 ) -> EntropyCurve:
     """Graph-based entropy versus scale for one signal, on one OpenBLAS thread; its
     scales run on a thread pool when N * p is at least _POOL_MIN_SAMPLES,
-    serially otherwise. Either way the values are those of a serial loop."""
+    serially otherwise. Either way the values are those of a serial loop.
+
+    Scales from 2 coarse-grain a C-ordered copy of values that are not C-ordered
+    (a CSV signal's are F-ordered), whose windows are 3x faster to sum; the means
+    are the same for both orders. Scale 1 runs on the values as given, because
+    _moments' bits depend on their memory order."""
+    coarse_from = signal
+    if not signal.values.flags.c_contiguous and config.max_scale > 1:
+        values = np.ascontiguousarray(signal.values)
+        values.flags.writeable = False  # so the signal keeps it without a second copy
+        coarse_from = replace(signal, values=values)
 
     def entropy_at(tau: int) -> float:
-        return mvdeg_single_scale(coarse_grain(signal, tau), graph, config.m, config.c)[0]
+        scaled = signal if tau == 1 else coarse_grain(coarse_from, tau)
+        return mvdeg_single_scale(scaled, graph, config.m, config.c)[0]
 
     pooled = signal.n_samples * signal.p >= _POOL_MIN_SAMPLES
     with _one_blas_thread():  # the hop products are too small to split

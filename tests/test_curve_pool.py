@@ -18,6 +18,7 @@ from mvdeg import (
     EmbeddingConfig,
     FloatRangeError,
     GeneratorSpec,
+    MultivariateSignal,
     WeightedGraph,
     aggregate_curves,
     build_complete_graph,
@@ -315,6 +316,27 @@ def test_cli_ensemble_does_not_depend_on_the_cpus_it_may_use(tmp_path):
         outputs.append((Path(f"{out}.csv").read_bytes(), Path(f"{out}.json").read_bytes()))
     assert outputs[0] == outputs[1]
     assert len(outputs[0][0].splitlines()) == 1 + 4 * 6  # header, 4 conditions x 6 scales
+
+
+@pytest.mark.parametrize("p, n", [(3, 1201), (8, 20_000)])  # a serial curve, a pooled one
+def test_curve_of_an_f_ordered_signal_is_its_single_scales_bit_for_bit(p, n, monkeypatch):
+    # scales from 2 coarse-grain a C-ordered copy; scale 1 reads the values as
+    # given, because the bits of their moments depend on the memory order
+    signal = MultivariateSignal(np.random.default_rng(p).standard_normal((n, p)).T)
+    assert not signal.values.flags.c_contiguous
+    graph = estimate_correlation_graph(signal)
+    scaled = {}
+
+    def single_scale(coarse, *args):
+        scaled[coarse.n_samples] = coarse.values
+        return mvdeg_single_scale(coarse, *args)
+
+    monkeypatch.setattr(entropy, "mvdeg_single_scale", single_scale)
+    curve = mvdeg_curve(signal, graph, EmbeddingConfig(m=3, c=6))
+    assert scaled[n] is signal.values
+    for record in curve.records:
+        value = mvdeg_single_scale(coarse_grain(signal, record.tau), graph, 3, 6)[0]
+        assert record.mean.hex() == value.hex(), record.tau
 
 
 def test_classical_curve_refuses_before_any_scale_runs(monkeypatch):

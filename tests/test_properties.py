@@ -497,6 +497,20 @@ def test_ncdf_map_equals_ndtr_of_the_z_scores(p, n, c, seed, data):
     assert np.array_equal(classes, basis_class_map(_standardize(values), c))
 
 
+@EXAMPLES
+@given(st.integers(2, 1000))
+def test_table_class_map_equals_ndtr_around_every_band(c):
+    # a band cell classes z by comparison with the band's ends and sends z inside
+    # it to ndtr; z = 0, the edge of even c, counts as above its band
+    table = _class_table(c)
+    bands = np.unique(~table[0][table[0] < -1])  # band 0, which holds every z, aside
+    low, high = (table[row].view(np.float64)[bands] for row in (2, 3))
+    assert bands.size and (low < high).all()
+    ends = np.concatenate([low, high]) / 2.0 ** _CELL_BITS
+    z = np.concatenate([around(ends), (low + high) / 2.0 ** (_CELL_BITS + 1)])
+    assert np.array_equal(table_classes(z, c), basis_class_map(z, c))
+
+
 def test_class_tables_are_read_only_and_at_most_class_tables_are_kept():
     cs = range(3, 3 + 2 * _CLASS_TABLES)
     for c in cs:

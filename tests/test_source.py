@@ -163,12 +163,45 @@ def test_every_traced_layer_resolves():
     assert [layer for layer in layers if not _layer_resolves(layer)] == []
 
 
-def test_importing_the_package_and_its_cli_loads_no_scipy():
-    # scipy serves only the class map's ndtr fallback, which imports it on first use
-    code = "import sys, mvdeg, mvdeg.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+def _scipy_modules_after(code: str, *args: str) -> str:
+    """The sorted list of scipy modules loaded once code has run in a fresh interpreter
+    with args, as printed."""
+    code += "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     path = [str(SOURCE.parent), *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, check=True,
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
     ).stdout
-    assert out.split() == ["[]"]
+    return out.splitlines()[-1]
+
+
+def test_importing_the_package_and_its_cli_loads_no_scipy():
+    # scipy serves only ndtr, for samples inside a band of the class table
+    assert _scipy_modules_after("import sys, mvdeg, mvdeg.cli") == "[]"
+
+
+def test_the_pipelines_and_the_cli_load_no_scipy(tmp_path):
+    # the class table is built from the stdlib and classes near-edge samples by
+    # comparison, so only a sample within about 1e-11 of a class edge needs ndtr
+    csv = tmp_path / "signal.csv"
+    mvdeg.write_signal_csv(mvdeg.gen_wgn(4, 300, 1), csv)
+    code = """
+import sys
+import numpy as np
+from mvdeg import (EmbeddingConfig, MultivariateSignal, build_zero_graph, classical_mvde,
+                   estimate_correlation_graph, mvdeg_curve, ncdf_map)
+from mvdeg.cli import main
+rng = np.random.default_rng(0)
+pooled = MultivariateSignal(rng.standard_normal((8, 20_000)))  # N p >= _POOL_MIN_SAMPLES
+constant = rng.standard_normal((3, 2_000))
+constant[1] = 1.0  # z = 0, the class edge of even c
+constant = MultivariateSignal(constant)
+small = MultivariateSignal(rng.standard_normal((3, 200)))
+for c in (2, 5, 6, 64):
+    mvdeg_curve(pooled, estimate_correlation_graph(pooled), EmbeddingConfig(m=4, c=c))
+    mvdeg_curve(constant, build_zero_graph(3), EmbeddingConfig(m=4, c=c))
+    classical_mvde(small, 3, c)
+    ncdf_map(constant, c)
+assert main(["entropy", "--input", sys.argv[1], "--graph", "correlation", "--out", sys.argv[2]]) == 0
+"""
+    assert _scipy_modules_after(code, str(csv), str(tmp_path / "curve.csv")) == "[]"
